@@ -14,7 +14,8 @@ carry no times and are scored by the step-based metrics only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterable
 
 TEXT_TO_TEXT = "text-to-text"
 SPEECH_TO_TEXT = "speech-to-text"
@@ -148,7 +149,7 @@ class SessionTrace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "source", _as_token_tuple(self.source))
         object.__setattr__(self, "target", _as_token_tuple(self.target))
-        object.__setattr__(self, "reads", tuple(int(g) for g in self.reads))
+        object.__setattr__(self, "reads", tuple(map(int, self.reads)))
         if self.spans is not None:
             object.__setattr__(self, "spans", tuple(self.spans))
         self._validate()
@@ -183,16 +184,20 @@ class SessionTrace:
                 raise TraceError(
                     f"{self.id}: {side_name} token at position {pos} has index {token.index}"
                 )
-            if timed_required and not token.timed:
+            if timed_required and token.start is None:
                 raise TraceError(
                     f"{self.id}: {side_name} token {pos} lacks times on a timed session"
                 )
-        for prev, cur in zip(side, side[1:]):
-            if prev.timed and cur.timed:
-                if cur.start < prev.start or cur.end < prev.end:
+        # indices equal positions now, so a pair is (pos - 1, pos)
+        prev_start = prev_end = None
+        for pos, token in enumerate(side, start=1):
+            start = token.start
+            if start is not None and prev_start is not None:
+                if start < prev_start or token.end < prev_end:
                     raise TraceError(
-                        f"{self.id}: {side_name} tokens {prev.index},{cur.index} out of order"
+                        f"{self.id}: {side_name} tokens {pos - 1},{pos} out of order"
                     )
+            prev_start, prev_end = start, token.end
 
     @property
     def src_len(self) -> int:
@@ -205,6 +210,41 @@ class SessionTrace:
     @property
     def is_timed(self) -> bool:
         return self.timeline_kind != STEPS
+
+
+def _tau_bounds(
+    start: float, end: float, tau: float, prev_end: float | None = None
+) -> list[tuple[float, float]]:
+    """Sub-token bounds of the speech chunk [start, end): one per ``tau`` ms.
+
+    The pieces are [start + i*tau, min(start + (i+1)*tau, end)), so the last
+    one ends at ``end`` unless the chunk outlasts a multiple of tau by less
+    than the count's tolerance.  A chunk without duration, or one starting
+    before ``prev_end`` (the end of the chunk before it), is rejected.
+    """
+    if end <= start:
+        raise TraceError(f"segment [{start}, {end}) has no duration")
+    if prev_end is not None and start < prev_end:
+        raise TraceError(f"segment starting at {start} overlaps previous chunk")
+    # tolerance keeps exact multiples of tau from producing a zero-length tail
+    count = max(1, math.ceil((end - start) / tau - 1e-9))
+    return [(start + i * tau, min(start + (i + 1) * tau, end)) for i in range(count)]
+
+
+def _split_chunks(
+    chunks: Iterable[tuple[float, float]], tau: float
+) -> tuple[list[TimedToken], list[int]]:
+    """Sub-tokens of consecutive speech chunks, and after each chunk the
+    number of sub-tokens so far."""
+    tokens: list[TimedToken] = []
+    counts: list[int] = []
+    prev_end = None
+    for chunk_start, chunk_end in chunks:
+        for start, end in _tau_bounds(chunk_start, chunk_end, tau, prev_end):
+            tokens.append(TimedToken(len(tokens) + 1, None, start, end))
+        counts.append(len(tokens))
+        prev_end = chunk_end
+    return tokens, counts
 
 
 def subsegment_speech(
@@ -220,21 +260,7 @@ def subsegment_speech(
     """
     if not segments:
         raise TraceError("no input: empty segment list")
-    tokens: list[TimedToken] = []
-    prev_end = None
-    for seg_start, seg_end in segments:
-        if seg_end <= seg_start:
-            raise TraceError(f"segment [{seg_start}, {seg_end}) has no duration")
-        if prev_end is not None and seg_start < prev_end:
-            raise TraceError(f"segment starting at {seg_start} overlaps previous chunk")
-        prev_end = seg_end
-        # tolerance keeps exact multiples of tau from producing a zero-length tail
-        count = max(1, math.ceil((seg_end - seg_start) / cfg.tau - 1e-9))
-        for i in range(count):
-            start = seg_start + i * cfg.tau
-            end = min(seg_start + (i + 1) * cfg.tau, seg_end)
-            tokens.append(TimedToken(index=len(tokens) + 1, start=start, end=end))
-    return tuple(tokens)
+    return tuple(_split_chunks(segments, cfg.tau)[0])
 
 
 def chunk_ends_from_reads(reads: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -299,9 +325,9 @@ def regroup_tokens(
 
 
 def _shift_token(token: TimedToken, index: int, offset: float) -> TimedToken:
-    if token.timed:
-        return replace(token, index=index, start=token.start + offset, end=token.end + offset)
-    return replace(token, index=index)
+    if token.start is not None:
+        return TimedToken(index, token.text, token.start + offset, token.end + offset)
+    return TimedToken(index, token.text)
 
 
 def concat_sessions(
@@ -373,29 +399,24 @@ def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
     if not s.source:
         raise TraceError(f"{s.id}: no input")
 
-    src_tokens = subsegment_speech([(t.start, t.end) for t in s.source], cfg)
-    counts = []
-    total = 0
-    for token in s.source:
-        n = max(1, math.ceil((token.end - token.start) / cfg.tau - 1e-9))
-        total += n
-        counts.append(total)
+    tau = cfg.tau
     # counts[g-1] = number of sub-tokens covering the first g source chunks
-    remapped = [counts[g - 1] for g in s.reads]
+    source, counts = _split_chunks(((t.start, t.end) for t in s.source), tau)
+    reads = [counts[g - 1] for g in s.reads]
 
+    target = s.target
     if s.modality == SPEECH_TO_SPEECH:
-        tgt_tokens: list[TimedToken] = []
-        tgt_reads: list[int] = []
-        for token, g in zip(s.target, remapped):
-            pieces = subsegment_speech([(token.start, token.end)], cfg)
-            text = token.text if len(pieces) == 1 else None
-            for piece in pieces:
-                tgt_tokens.append(replace(piece, index=len(tgt_tokens) + 1, text=text))
-                tgt_reads.append(g)
-        target = tuple(tgt_tokens)
-        reads = tuple(tgt_reads)
-    else:
-        target = s.target
-        reads = tuple(remapped)
+        pieces_target: list[TimedToken] = []
+        pieces_reads: list[int] = []
+        for token, g in zip(target, reads):
+            bounds = _tau_bounds(token.start, token.end, tau)
+            text = token.text if len(bounds) == 1 else None
+            for start, end in bounds:
+                pieces_target.append(TimedToken(len(pieces_target) + 1, text, start, end))
+            pieces_reads.extend([g] * len(bounds))
+        target, reads = pieces_target, pieces_reads
 
-    return replace(s, source=src_tokens, target=target, reads=reads)
+    return SessionTrace(
+        s.id, s.modality, s.timeline_kind, tuple(source), tuple(target), tuple(reads),
+        s.reference, s.spans,
+    )

@@ -9,9 +9,8 @@ negative (a system can finish speaking before the input ends).
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 
-from .core import CA, NCA, SessionTrace, TraceError
+from .core import CA, NCA, SessionTrace, TimedToken, TraceError
 from .metrics_step import corresponding_input_indices
 
 logger = logging.getLogger(__name__)
@@ -78,12 +77,13 @@ def build_nca_timeline(s: SessionTrace) -> SessionTrace:
         raise TraceError(f"{s.id}: missing computation-span annotations")
     _require_timed(s, "re-scheduling")
 
-    new_target = []
+    source = s.source
+    target = []
     prev_end = 0.0
-    for t, token in enumerate(s.target, start=1):
-        trigger = s.source[s.reads[t - 1] - 1].end
-        start = max(trigger, prev_end)
-        end = start + token.duration
-        new_target.append(replace(token, start=start, end=end))
-        prev_end = end
-    return replace(s, timeline_kind=NCA, target=tuple(new_target), spans=None)
+    for token, g in zip(s.target, s.reads):
+        start = max(source[g - 1].end, prev_end)
+        prev_end = start + (token.end - token.start)
+        target.append(TimedToken(token.index, token.text, start, prev_end))
+    return SessionTrace(
+        s.id, s.modality, NCA, source, tuple(target), s.reads, s.reference, None
+    )

@@ -49,6 +49,8 @@ def _require(obj: dict, key: str, lineno: int | None):
 
 
 def _int_ms(value, what: str, lineno: int | None) -> float:
+    if type(value) is int and value >= 0:
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TraceFormatError(f"{_context(lineno)}{what} must be a number, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
@@ -56,6 +58,22 @@ def _int_ms(value, what: str, lineno: int | None) -> float:
     if value < 0:
         raise TraceFormatError(f"{_context(lineno)}{what} must be non-negative")
     return float(value)
+
+
+def _require_list(obj: dict, key: str, lineno: int | None) -> list:
+    value = _require(obj, key, lineno)
+    if not isinstance(value, list):
+        raise TraceFormatError(f"{_context(lineno)}{key} must be a JSON array")
+    return value
+
+
+def _int_index(value, what: str, lineno: int | None) -> int:
+    """An integer, or an integer-valued float; never a bool (as in ``_int_ms``)."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise TraceFormatError(f"{_context(lineno)}{what} must be an integer, got {value!r}")
 
 
 def _parse_token(obj, index: int, timed: bool, what: str, lineno: int | None) -> TimedToken:
@@ -69,7 +87,22 @@ def _parse_token(obj, index: int, timed: bool, what: str, lineno: int | None) ->
     if timed or (start is not None or end is not None):
         start = _int_ms(_require(obj, "start", lineno) if timed else start, f"{what} start", lineno)
         end = _int_ms(_require(obj, "end", lineno) if timed else end, f"{what} end", lineno)
-    return TimedToken(index=index, text=text, start=start, end=end)
+    try:
+        return TimedToken(index=index, text=text, start=start, end=end)
+    except TraceError as exc:
+        raise TraceFormatError(f"{_context(lineno)}{what} {exc}") from exc
+
+
+def _parse_span(obj, lineno: int | None) -> ComputationSpan:
+    if not isinstance(obj, dict):
+        raise TraceFormatError(f"{_context(lineno)}spans entry must be an object")
+    kind = str(obj.get("kind", "compute"))
+    start = _int_ms(_require(obj, "start", lineno), "span start", lineno)
+    end = _int_ms(_require(obj, "end", lineno), "span end", lineno)
+    try:
+        return ComputationSpan(kind, start, end)
+    except TraceError as exc:
+        raise TraceFormatError(f"{_context(lineno)}{exc}") from exc
 
 
 def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
@@ -87,11 +120,11 @@ def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
 
     source = [
         _parse_token(obj, i, timed, "source", lineno)
-        for i, obj in enumerate(_require(record, "source", lineno), start=1)
+        for i, obj in enumerate(_require_list(record, "source", lineno), start=1)
     ]
     target = []
     reads = []
-    for i, obj in enumerate(_require(record, "target", lineno), start=1):
+    for i, obj in enumerate(_require_list(record, "target", lineno), start=1):
         token = _parse_token(obj, i, timed, "target", lineno)
         g = _require(obj, "g", lineno) if isinstance(obj, dict) else None
         if isinstance(g, bool) or not isinstance(g, int):
@@ -106,12 +139,7 @@ def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
     spans = None
     if "spans" in record:
         spans = tuple(
-            ComputationSpan(
-                kind=str(span.get("kind", "compute")),
-                start=_int_ms(_require(span, "start", lineno), "span start", lineno),
-                end=_int_ms(_require(span, "end", lineno), "span end", lineno),
-            )
-            for span in record["spans"]
+            _parse_span(obj, lineno) for obj in _require_list(record, "spans", lineno)
         )
 
     try:
@@ -188,20 +216,18 @@ def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, t
     if not isinstance(sentence_id, str) or not sentence_id:
         raise TraceFormatError(f"{_context(lineno)}id must be a non-empty string")
     links = []
-    for obj in _require(record, "links", lineno):
+    for obj in _require_list(record, "links", lineno):
+        if not isinstance(obj, dict):
+            raise TraceFormatError(f"{_context(lineno)}links entry must be an object")
         verified = obj.get("verified", False)
         if not isinstance(verified, bool):
             raise TraceFormatError(f"{_context(lineno)}verified must be a boolean")
+        src = _int_index(_require(obj, "src", lineno), "src", lineno)
+        tgt = _int_index(_require(obj, "tgt", lineno), "tgt", lineno)
+        src_start = _int_ms(_require(obj, "src_start", lineno), "src_start", lineno)
+        tgt_start = _int_ms(_require(obj, "tgt_start", lineno), "tgt_start", lineno)
         try:
-            links.append(
-                AlignedPair(
-                    src_index=int(_require(obj, "src", lineno)),
-                    tgt_index=int(_require(obj, "tgt", lineno)),
-                    src_start=_int_ms(_require(obj, "src_start", lineno), "src_start", lineno),
-                    tgt_start=_int_ms(_require(obj, "tgt_start", lineno), "tgt_start", lineno),
-                    verified=verified,
-                )
-            )
+            links.append(AlignedPair(src, tgt, src_start, tgt_start, verified))
         except TraceError as exc:
             raise TraceFormatError(f"{_context(lineno)}{exc}") from exc
     return sentence_id, tuple(links)

@@ -1,0 +1,125 @@
+"""Malformed trace and alignment records: a TraceFormatError naming the line,
+and exit code 2 from the CLI, never a traceback."""
+
+import json
+
+import pytest
+
+from simulatency import (
+    TraceFormatError,
+    contrast_balanced,
+    record_to_session,
+    session_to_record,
+)
+from simulatency.cli import main
+from simulatency.trace_io import record_to_alignment
+
+
+def good_trace():
+    record = session_to_record(contrast_balanced())
+    record["spans"] = [{"kind": "decode", "start": 0, "end": 100}]
+    return record
+
+
+def good_alignment():
+    return {
+        "id": "a1",
+        "links": [{"src": 1, "tgt": 2, "src_start": 0, "tgt_start": 300, "verified": True}],
+    }
+
+
+def write_lines(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
+def trace_with(**fields):
+    record = good_trace()
+    record.update(fields)
+    return record
+
+
+def alignment_with(**fields):
+    record = good_alignment()
+    record["links"] = [{**record["links"][0], **fields}]
+    return record
+
+
+MALFORMED_TRACES = {
+    "source not a list": trace_with(source=5),
+    "target not a list": trace_with(target=5),
+    "spans not a list": trace_with(spans=5),
+    "spans null": trace_with(spans=None),
+    "span entry not an object": trace_with(spans=[5]),
+    "span entry a string": trace_with(spans=["decode"]),
+    "span ends before it starts": trace_with(spans=[{"start": 500, "end": 400}]),
+    "token ends before it starts": trace_with(
+        source=[{"text": "x", "start": 500, "end": 400}]
+    ),
+}
+
+
+@pytest.mark.parametrize("record", MALFORMED_TRACES.values(), ids=MALFORMED_TRACES.keys())
+def test_malformed_trace_record_raises_format_error(record):
+    with pytest.raises(TraceFormatError) as info:
+        record_to_session(record, 7)
+    assert str(info.value).startswith("line 7: ")
+    assert str(info.value).count("line 7") == 1
+
+
+@pytest.mark.parametrize("record", MALFORMED_TRACES.values(), ids=MALFORMED_TRACES.keys())
+@pytest.mark.parametrize("command", [["eval"], ["eval", "--timeline", "nca"], ["concat"]])
+def test_malformed_trace_record_exits_2(tmp_path, capsys, record, command):
+    path = write_lines(tmp_path / "t.jsonl", [good_trace(), record])
+    assert main([*command, path]) == 2
+    err = capsys.readouterr().err
+    assert "simulatency: error: line 2: " in err
+    assert "Traceback" not in err
+
+
+MALFORMED_ALIGNMENTS = {
+    "links not a list": {"id": "a1", "links": 5},
+    "link not an object": {"id": "a1", "links": [5]},
+    "link a list": {"id": "a1", "links": [[1, 2]]},
+    "src fractional": alignment_with(src=1.7),
+    "src a string": alignment_with(src="x"),
+    "src a numeric string": alignment_with(src="3"),
+    "src a bool": alignment_with(src=True),
+    "tgt fractional": alignment_with(tgt=2.5),
+    "tgt null": alignment_with(tgt=None),
+    "src zero": alignment_with(src=0),
+    "src_start negative": alignment_with(src_start=-1),
+}
+
+
+@pytest.mark.parametrize(
+    "record", MALFORMED_ALIGNMENTS.values(), ids=MALFORMED_ALIGNMENTS.keys()
+)
+def test_malformed_alignment_record_raises_format_error(record):
+    with pytest.raises(TraceFormatError) as info:
+        record_to_alignment(record, 4)
+    # the line number is stated once, not once per wrapping layer
+    assert str(info.value).startswith("line 4: ")
+    assert str(info.value).count("line 4") == 1
+
+
+@pytest.mark.parametrize(
+    "record", MALFORMED_ALIGNMENTS.values(), ids=MALFORMED_ALIGNMENTS.keys()
+)
+def test_malformed_alignment_record_exits_2(tmp_path, capsys, record):
+    path = write_lines(tmp_path / "a.jsonl", [good_alignment(), record])
+    assert main(["evs", path]) == 2
+    err = capsys.readouterr().err
+    assert "simulatency: error: line 2: " in err
+    assert "Traceback" not in err
+
+
+def test_fractional_link_index_is_not_truncated():
+    with pytest.raises(TraceFormatError, match="src must be an integer, got 1.7"):
+        record_to_alignment(alignment_with(src=1.7))
+
+
+def test_integer_valued_float_link_index_is_accepted():
+    _, links = record_to_alignment(alignment_with(src=3.0, tgt=4.0))
+    assert (links[0].src_index, links[0].tgt_index) == (3, 4)
+    assert type(links[0].src_index) is int and type(links[0].tgt_index) is int

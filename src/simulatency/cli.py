@@ -23,8 +23,7 @@ from .core import (
     CA,
     NCA,
     STEPS,
-    SPEECH_TO_SPEECH,
-    SPEECH_TO_TEXT,
+    TEXT_TO_TEXT,
     SessionTrace,
     SubSegmentConfig,
     TokenGranularity,
@@ -53,6 +52,7 @@ from .stats import StatsError, spearman
 from .trace_io import (
     TraceFormatError,
     read_alignments,
+    read_lines,
     read_sessions,
     session_to_record,
     write_sessions,
@@ -64,9 +64,27 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-STEP_METRICS = ("al", "al_ref", "laal", "dal", "ap", "cw")
-TIMED_METRICS = ("start_offset", "end_offset")
-ALL_METRICS = ("al", "al_ref", "laal", "dal", "ap", "cw", "atd", "start_offset", "end_offset")
+# name -> (unit-step kernel of a StepMetricInput, wall-clock kernel of a timed
+# session and the sub-segment config), None where the metric has no such form;
+# in report column order.  The lambdas look the kernels up in this module when
+# called, so that replacing a module attribute (as bench/tracer.py does to time
+# each layer) takes effect.
+METRICS = {
+    "al": (lambda inp: average_lagging(inp, RATIO_HYPOTHESIS), None),
+    "al_ref": (lambda inp: average_lagging(inp, RATIO_REFERENCE), None),
+    "laal": (lambda inp: average_lagging(inp, RATIO_LENGTH_ADAPTIVE), None),
+    "dal": (lambda inp: differentiable_average_lagging(inp), None),
+    "ap": (lambda inp: average_proportion(inp), None),
+    "cw": (lambda inp: consecutive_wait(inp), None),
+    "atd": (
+        lambda inp: atd_steps(inp),
+        lambda s, cfg: atd_timed(s if s.modality == TEXT_TO_TEXT else subsegment_session(s, cfg)),
+    ),
+    "start_offset": (None, lambda s, cfg: start_offset(s)),
+    "end_offset": (None, lambda s, cfg: end_offset(s)),
+}
+# left out of the default metric set of a session without a reference
+NEEDS_REFERENCE = ("al_ref", "laal")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,14 +166,11 @@ def _prepare_timed(session: SessionTrace, timeline: str | None) -> SessionTrace 
     return f"cannot realize {timeline!r} timeline from {session.timeline_kind!r} trace"
 
 
-def _default_metrics(session: SessionTrace, timeline: str | None) -> list[str]:
-    effective = timeline or session.timeline_kind
-    if effective == STEPS or session.timeline_kind == STEPS:
-        names = ["al", "al_ref", "laal", "dal", "ap", "cw", "atd"]
-        if session.reference is None:
-            names = [n for n in names if n not in ("al_ref", "laal")]
-        return names
-    return ["atd", "start_offset", "end_offset"]
+def _in_ms(name: str, session: SessionTrace, timeline: str | None) -> bool:
+    """Whether ``session`` scores ``name`` with its wall-clock kernel, in ms:
+    its only kernel, or one of two unless the session or ``timeline`` is steps."""
+    step, timed = METRICS[name]
+    return timed is not None and (step is None or STEPS not in (session.timeline_kind, timeline))
 
 
 def _eval_session(
@@ -165,34 +180,24 @@ def _eval_session(
     gran: TokenGranularity,
     subseg: SubSegmentConfig,
 ) -> dict[str, float]:
-    names = metrics if metrics is not None else _default_metrics(session, timeline)
+    if metrics is None:  # every metric the session's timeline has a kernel for
+        on_steps = STEPS in (session.timeline_kind, timeline)
+        metrics = [
+            name
+            for name, (step, timed) in METRICS.items()
+            if (step if on_steps else timed) is not None
+            and (session.reference is not None or name not in NEEDS_REFERENCE)
+        ]
     values: dict[str, float] = {}
     step_inp: StepMetricInput | None = None
     timed: SessionTrace | str | None = None
-    atd_session: SessionTrace | None = None
 
-    for name in names:
+    for name in metrics:
         try:
-            if name in STEP_METRICS or (
-                name == "atd"
-                and (session.timeline_kind == STEPS or timeline == STEPS)
-            ):
+            if not _in_ms(name, session, timeline):
                 if step_inp is None:
                     step_inp = _step_input(session, gran)
-                if name == "al":
-                    values[name] = average_lagging(step_inp, RATIO_HYPOTHESIS)
-                elif name == "al_ref":
-                    values[name] = average_lagging(step_inp, RATIO_REFERENCE)
-                elif name == "laal":
-                    values[name] = average_lagging(step_inp, RATIO_LENGTH_ADAPTIVE)
-                elif name == "dal":
-                    values[name] = differentiable_average_lagging(step_inp)
-                elif name == "ap":
-                    values[name] = average_proportion(step_inp)
-                elif name == "cw":
-                    values[name] = consecutive_wait(step_inp)
-                else:
-                    values[name] = atd_steps(step_inp)
+                values[name] = METRICS[name][0](step_inp)
                 continue
 
             if timed is None:
@@ -200,40 +205,30 @@ def _eval_session(
             if isinstance(timed, str):
                 logger.warning("%s: skipping %s (%s)", session.id, name, timed)
                 continue
-            if name == "start_offset":
-                values[name] = start_offset(timed)
-            elif name == "end_offset":
-                values[name] = end_offset(timed)
-            elif name == "atd":
-                if atd_session is None:
-                    atd_session = timed
-                    if timed.modality in (SPEECH_TO_TEXT, SPEECH_TO_SPEECH):
-                        atd_session = subsegment_session(timed, subseg)
-                values[name] = atd_timed(atd_session)
-            else:
-                logger.warning("%s: unknown metric %s", session.id, name)
+            values[name] = METRICS[name][1](timed, subseg)
         except TraceError as exc:
             logger.warning("%s: skipping %s (%s)", session.id, name, exc)
     return values
 
 
-def _format_value(name: str, value: float, timed_ms: bool) -> str:
-    if name in TIMED_METRICS or (name == "atd" and timed_ms):
-        return f"{value:.1f}"
-    return repr(value)
+def _cells(values: dict[str, float], columns: list[str], in_ms) -> list[str]:
+    """Report cells: one decimal where ``in_ms(name)``, else full precision."""
+    return [
+        (f"{values[m]:.1f}" if in_ms(m) else repr(values[m])) if m in values else ""
+        for m in columns
+    ]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    metrics = args.metrics.split(",") if args.metrics else None
+    unknown = [m for m in metrics or () if m not in METRICS]
+    if unknown:
+        raise SystemExit(_usage_error(args, f"unknown metrics: {', '.join(unknown)}"))
+    gran = TokenGranularity.from_spec(args.granularity)
+    subseg = SubSegmentConfig(tau=args.tau)
     sessions = read_sessions(args.traces)
     if not sessions:
         raise TraceError(f"{args.traces}: no sessions")
-    gran = TokenGranularity.from_spec(args.granularity)
-    subseg = SubSegmentConfig(tau=args.tau)
-    metrics = args.metrics.split(",") if args.metrics else None
-    if metrics is not None:
-        unknown = [m for m in metrics if m not in ALL_METRICS]
-        if unknown:
-            raise SystemExit(_usage_error(args, f"unknown metrics: {', '.join(unknown)}"))
 
     rows = []
     for session in sessions:
@@ -241,15 +236,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rows.append((session, values))
 
     if metrics is not None:
-        columns = [m for m in ALL_METRICS if m in metrics]
+        columns = [m for m in METRICS if m in metrics]
     else:
-        columns = [m for m in ALL_METRICS if any(m in values for _, values in rows)]
+        columns = [m for m in METRICS if any(m in values for _, values in rows)]
     out, close = _open_out(args.output)
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "modality", "timeline", "src_len", "tgt_len", *columns])
         for session, values in rows:
-            timed_ms = session.timeline_kind != STEPS and args.timeline != STEPS
             writer.writerow(
                 [
                     session.id,
@@ -258,25 +252,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     session.src_len,
                     session.tgt_len,
                 ]
-                + [
-                    _format_value(m, values[m], timed_ms) if m in values else ""
-                    for m in columns
-                ]
+                + _cells(values, columns, lambda m: _in_ms(m, session, args.timeline))
             )
         corpus = {}
         for m in columns:
             present = [values[m] for _, values in rows if m in values]
             if present:
                 corpus[m] = sum(present) / len(present)
-        all_timed = all(
-            session.timeline_kind != STEPS for session, _ in rows
-        ) and args.timeline != STEPS
         writer.writerow(
             ["corpus", "", "", "", ""]
-            + [
-                _format_value(m, corpus[m], all_timed) if m in corpus else ""
-                for m in columns
-            ]
+            + _cells(corpus, columns, lambda m: all(_in_ms(m, s, args.timeline) for s, _ in rows))
         )
     finally:
         if close:
@@ -372,8 +357,19 @@ def cmd_evs(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_csv_columns(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fp:
-        return [row for row in csv.DictReader(fp) if row.get("id") != "corpus"]
+    reader = csv.DictReader(line for _, line in read_lines(path))
+    try:
+        return [row for row in reader if row.get("id") != "corpus"]
+    except csv.Error as exc:
+        raise TraceFormatError(f"line {reader.reader.line_num}: {exc}") from None
+
+
+def _rows_by_id(path: str) -> dict[str | None, dict]:
+    rows: dict[str | None, dict] = {}
+    for row in _read_csv_columns(path):
+        if rows.setdefault(row.get("id"), row) is not row:
+            raise TraceError(f"{path}: duplicate id {row.get('id')!r}")
+    return rows
 
 
 def _as_float(text: str | None) -> float | None:
@@ -386,12 +382,13 @@ def _as_float(text: str | None) -> float | None:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    rows = _read_csv_columns(args.report)
-    if args.join:
-        joined = {row.get("id"): row for row in _read_csv_columns(args.join)}
+    if args.join:  # a repeated id would leave the join ambiguous
+        joined = _rows_by_id(args.join)
         rows = [
-            {**row, **joined[row.get("id")]} for row in rows if row.get("id") in joined
+            {**row, **joined[key]} for key, row in _rows_by_id(args.report).items() if key in joined
         ]
+    else:
+        rows = _read_csv_columns(args.report)
     col_a = [_as_float(row.get(args.col_a)) for row in rows]
     col_b = [_as_float(row.get(args.col_b)) for row in rows]
     result = spearman(col_a, col_b)
@@ -444,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="score a JSONL trace file")
     p_eval.add_argument("traces", help="JSONL trace file")
-    p_eval.add_argument("--metrics", help=f"comma-separated subset of: {','.join(ALL_METRICS)}")
+    p_eval.add_argument("--metrics", help=f"comma-separated subset of: {','.join(METRICS)}")
     p_eval.add_argument("--tau", type=float, default=300.0, help="sub-segment length in ms (default 300)")
     p_eval.add_argument("--granularity", default="word", help="word or char:N (default word)")
     p_eval.add_argument("--timeline", choices=[CA, NCA, STEPS], help="evaluate on this timeline instead of each record's own")

@@ -217,18 +217,20 @@ def _tau_bounds(
 ) -> list[tuple[float, float]]:
     """Sub-token bounds of the speech chunk [start, end): one per ``tau`` ms.
 
-    The pieces are [start + i*tau, min(start + (i+1)*tau, end)), so the last
-    one ends at ``end`` unless the chunk outlasts a multiple of tau by less
-    than the count's tolerance.  A chunk without duration, or one starting
+    The pieces are [start + i*tau, start + (i+1)*tau) except the last, which
+    ends exactly at ``end``.  A chunk without duration, or one starting
     before ``prev_end`` (the end of the chunk before it), is rejected.
     """
     if end <= start:
         raise TraceError(f"segment [{start}, {end}) has no duration")
     if prev_end is not None and start < prev_end:
         raise TraceError(f"segment starting at {start} overlaps previous chunk")
-    # tolerance keeps exact multiples of tau from producing a zero-length tail
+    # the tolerance keeps exact multiples of tau from making a zero-length tail;
+    # a chunk that outlasts a multiple by less gives the excess to its last piece
     count = max(1, math.ceil((end - start) / tau - 1e-9))
-    return [(start + i * tau, min(start + (i + 1) * tau, end)) for i in range(count)]
+    bounds = [(start + i * tau, start + (i + 1) * tau) for i in range(count - 1)]
+    bounds.append((start + (count - 1) * tau, end))
+    return bounds
 
 
 def _split_chunks(
@@ -408,8 +410,15 @@ def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
     if s.modality == SPEECH_TO_SPEECH:
         pieces_target: list[TimedToken] = []
         pieces_reads: list[int] = []
-        for token, g in zip(target, reads):
+        for t, (token, g) in enumerate(zip(target, reads), start=1):
             bounds = _tau_bounds(token.start, token.end, tau)
+            # pieces within a chunk are in order; chunks that overlap may not be
+            if pieces_target and (
+                bounds[0][0] < pieces_target[-1].start or bounds[0][1] < pieces_target[-1].end
+            ):
+                raise TraceError(
+                    f"{s.id}: target tokens {t - 1},{t} out of order once split into sub-segments"
+                )
             text = token.text if len(bounds) == 1 else None
             for start, end in bounds:
                 pieces_target.append(TimedToken(len(pieces_target) + 1, text, start, end))

@@ -21,7 +21,7 @@ word-alignment links::
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     STEPS,
@@ -187,20 +187,34 @@ def session_to_record(s: SessionTrace) -> dict:
     return record
 
 
-def _iter_json_lines(fp: IO[str]) -> Iterator[tuple[int, dict]]:
-    for lineno, line in enumerate(fp, start=1):
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a UTF-8 file, split at newlines and kept with
+    them; a line that is not UTF-8 raises TraceFormatError naming it."""
+    with open(path, "rb") as fp:
+        for lineno, raw in enumerate(fp, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceFormatError(f"line {lineno}: not UTF-8 ({exc.reason})") from None
+            yield lineno, line
+
+
+def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
+    for lineno, line in read_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
-            yield lineno, json.loads(line)
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+        except (RecursionError, ValueError) as exc:  # deep nesting, an over-long integer
+            raise TraceFormatError(f"line {lineno}: malformed JSON ({exc})") from None
+        yield lineno, record
 
 
 def read_sessions(path: str) -> list[SessionTrace]:
-    with open(path, "r", encoding="utf-8") as fp:
-        return [record_to_session(record, lineno) for lineno, record in _iter_json_lines(fp)]
+    return [record_to_session(record, lineno) for lineno, record in _iter_json_lines(path)]
 
 
 def write_sessions(path: str, sessions: Iterable[SessionTrace]) -> None:
@@ -234,8 +248,7 @@ def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, t
 
 
 def read_alignments(path: str) -> list[tuple[str, tuple[AlignedPair, ...]]]:
-    with open(path, "r", encoding="utf-8") as fp:
-        return [record_to_alignment(record, lineno) for lineno, record in _iter_json_lines(fp)]
+    return [record_to_alignment(record, lineno) for lineno, record in _iter_json_lines(path)]
 
 
 def write_alignments(

@@ -137,6 +137,13 @@ def test_subsegment_durations_bounded_by_tau(segments):
     assert len(chunk_finals) == len(segments)
 
 
+def test_subsegment_last_piece_ends_at_chunk_end_within_tolerance():
+    # 300 ms is one tau plus 1e-7 ms, inside the count's tolerance: one piece,
+    # which must still end at the chunk's end
+    tokens = subsegment_speech([(0, 300)], SubSegmentConfig(tau=299.9999999))
+    assert [(t.start, t.end) for t in tokens] == [(0, 300.0)]
+
+
 def test_subsegment_empty_input_rejected():
     with pytest.raises(TraceError, match="no input"):
         subsegment_speech([], SubSegmentConfig(tau=300))
@@ -327,6 +334,16 @@ def test_subsegment_session_is_idempotent():
     assert [(t.start, t.end) for t in twice.target] == [
         (t.start, t.end) for t in once.target
     ]
+
+
+def test_subsegment_session_names_input_targets_whose_pieces_leave_order():
+    # each chunk splits in order, but chunk 2's first piece starts before
+    # chunk 1's last one; chunks that overlap less still split in order
+    overlapping = timed_session("ov", [(0, 1000)], [(1000, 3000), (1000, 3000)], [1, 1])
+    with pytest.raises(TraceError, match=r"^ov: target tokens 1,2 out of order"):
+        subsegment_session(overlapping, SubSegmentConfig(tau=1000))
+    in_order = timed_session("ok", [(0, 1000)], [(1000, 1250), (1200, 1900)], [1, 1])
+    assert subsegment_session(in_order, SubSegmentConfig(tau=300)).tgt_len == 4
 
 
 def test_subsegment_session_speech_to_text_keeps_target():

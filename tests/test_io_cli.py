@@ -275,6 +275,21 @@ def test_cli_eval_nca_timeline_conversion(tmp_path, capsys):
 # simulate command
 # ---------------------------------------------------------------------------
 
+def test_cli_eval_names_input_targets_whose_pieces_leave_order(tmp_path, caplog):
+    traces = tmp_path / "overlap.jsonl"
+    record = {
+        "id": "ov", "modality": "speech-to-speech", "timeline": "nca",
+        "source": [{"start": 0, "end": 1000}],
+        "target": [{"start": 1000, "end": 3000, "g": 1}, {"start": 1000, "end": 3000, "g": 1}],
+    }
+    traces.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        assert main(["eval", str(traces), "--tau", "1000", "-o", str(tmp_path / "r.csv")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "ov: skipping atd (ov: target tokens 1,2 out of order once split into sub-segments)"
+    ]
+
+
 def test_cli_simulate_round_trips_through_eval(tmp_path, capsys):
     traces = tmp_path / "chunk.jsonl"
     code = main(
@@ -428,6 +443,21 @@ def test_cli_correlate_joins_reports_on_id(tmp_path, capsys):
     assert "rho=1.000000" in out and "n=4" in out
 
 
+@pytest.mark.parametrize("repeated_in", ["report", "join"])
+def test_cli_correlate_join_rejects_a_repeated_id(tmp_path, capsys, repeated_in):
+    rows = {"report": [["s1", 1], ["s2", 2], ["s3", 3]], "join": [["s1", 2], ["s2", 4], ["s3", 6]]}
+    rows[repeated_in].append(["s2", 9])
+    paths = {name: tmp_path / f"{name}.csv" for name in rows}
+    write_report(paths["report"], rows["report"], ["id", "atd"])
+    write_report(paths["join"], rows["join"], ["id", "mean_evs"])
+    code = main(
+        ["correlate", str(paths["report"]), "--col-a", "atd", "--col-b", "mean_evs",
+         "--join", str(paths["join"])]
+    )
+    assert code == 2
+    assert f"{paths[repeated_in]}: duplicate id 's2'" in capsys.readouterr().err
+
+
 def test_cli_correlate_excludes_corpus_row_and_absent_cells(tmp_path, capsys):
     path = tmp_path / "report.csv"
     write_report(
@@ -502,3 +532,60 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
 
 def test_missing_file_is_data_error(capsys):
     assert main(["eval", "/nonexistent/path.jsonl"]) == 2
+
+
+def write_exit_code_inputs(tmp_path):
+    paths = {name: tmp_path / name for name in (
+        "traces.jsonl", "missing.jsonl", "malformed.jsonl", "not_utf8", "late_not_utf8.jsonl",
+        "deep.jsonl", "long_int.jsonl", "bad_record.jsonl", "big_field.csv", "short.csv",
+    )}
+    good = json.dumps(session_to_record(gen_wait_k(2, 4, 4))) + "\n"
+    paths["traces.jsonl"].write_text(good, encoding="utf-8")
+    paths["malformed.jsonl"].write_text(good + "{oops\n", encoding="utf-8")
+    paths["not_utf8"].write_bytes(b"\xff\xfe{}")
+    paths["late_not_utf8.jsonl"].write_bytes(good.encode() + b"\xff\xfe{}\n")
+    paths["deep.jsonl"].write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    paths["long_int.jsonl"].write_text('{"id": ' + "1" * 5000 + "}\n", encoding="utf-8")
+    paths["bad_record.jsonl"].write_text('{"id": "x"}\n', encoding="utf-8")
+    paths["big_field.csv"].write_text("id,a,b\ns1,1,1\ns2," + "9" * 200_000 + ",2\n", encoding="utf-8")
+    paths["short.csv"].write_text("id,a,b\ns1,1,1\ns2,2,2\n", encoding="utf-8")
+    return {name.split(".")[0]: str(path) for name, path in paths.items()}
+
+
+CORRELATE_AB = ["--col-a", "a", "--col-b", "b"]
+
+# (case, argv with {file} placeholders, exit code, text stderr must hold)
+EXIT_CODES = [
+    ("success", ["eval", "{traces}"], 0, ""),
+    ("missing argument", ["eval"], 1, "error: the following arguments are required"),
+    ("unknown command", ["unknown-command"], 1, "error: argument command"),
+    ("bad --granularity", ["eval", "{traces}", "--granularity", "bytes"], 1, "bad granularity"),
+    ("bad --tau", ["eval", "{traces}", "--tau", "-5"], 1, "tau must be positive"),
+    ("bad --tau, before the file is read", ["eval", "{missing}", "--tau", "0"], 1, "tau must be"),
+    ("bad --k", ["simulate", "--strategy", "wait-k", "--k", "x..y"], 1, "error:"),
+    ("unknown --metrics name, before the file is read",
+     ["eval", "{missing}", "--metrics", "al,bogus"], 1, "unknown metrics: bogus"),
+    ("missing file", ["eval", "{missing}"], 2, "No such file"),
+    ("malformed JSON", ["eval", "{malformed}"], 2, "line 2: malformed JSON"),
+    ("non-UTF-8 trace", ["eval", "{not_utf8}"], 2, "line 1: not UTF-8"),
+    ("non-UTF-8 line of a trace", ["eval", "{late_not_utf8}"], 2, "line 2: not UTF-8"),
+    ("non-UTF-8 alignment", ["evs", "{not_utf8}"], 2, "line 1: not UTF-8"),
+    ("non-UTF-8 report", ["correlate", "{not_utf8}", *CORRELATE_AB], 2, "line 1: not UTF-8"),
+    ("deep nesting", ["eval", "{deep}"], 2, "line 1: malformed JSON (maximum recursion"),
+    ("over-long integer", ["eval", "{long_int}"], 2, "line 1: malformed JSON"),
+    ("oversized report field", ["correlate", "{big_field}", *CORRELATE_AB], 2, "line 3: field"),
+    ("TraceFormatError", ["eval", "{bad_record}"], 2, "line 1: missing field"),
+    ("StatsError", ["correlate", "{short}", *CORRELATE_AB], 2, "insufficient samples"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message", [case[1:] for case in EXIT_CODES], ids=[case[0] for case in EXIT_CODES]
+)
+def test_exit_code_of_each_error_class(tmp_path, capsys, argv, code, message):
+    files = write_exit_code_inputs(tmp_path)
+    assert main([arg.format(**files) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    if code == 2:
+        assert err.startswith("simulatency: error: ") and err.count("\n") == 1

@@ -2,14 +2,17 @@
 
 The oracles below are literal transcriptions of the per-token algorithms
 these functions used to run: one ``subsegment_speech`` call per target token
-and one ``dataclasses.replace`` per piece.  The arithmetic versions must
-agree with them token for token, error message for error message.
+and one ``dataclasses.replace`` per piece, with two rules added since: a
+chunk's last piece ends exactly at the chunk's end, and speech-to-speech
+target chunks whose pieces would come out of order are rejected by their
+input positions.  The arithmetic versions must agree with them token for
+token, error message for error message.
 """
 
 import math
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simulatency import (
@@ -47,7 +50,7 @@ def oracle_subsegment_speech(segments, cfg):
         count = max(1, math.ceil((seg_end - seg_start) / cfg.tau - 1e-9))
         for i in range(count):
             start = seg_start + i * cfg.tau
-            end = min(seg_start + (i + 1) * cfg.tau, seg_end)
+            end = seg_end if i == count - 1 else seg_start + (i + 1) * cfg.tau
             tokens.append(TimedToken(index=len(tokens) + 1, start=start, end=end))
     return tuple(tokens)
 
@@ -70,8 +73,14 @@ def oracle_subsegment_session(s, cfg):
     if s.modality == SPEECH_TO_SPEECH:
         tgt_tokens = []
         tgt_reads = []
-        for token, g in zip(s.target, remapped):
+        for t, (token, g) in enumerate(zip(s.target, remapped), start=1):
             pieces = oracle_subsegment_speech([(token.start, token.end)], cfg)
+            if tgt_tokens and (
+                pieces[0].start < tgt_tokens[-1].start or pieces[0].end < tgt_tokens[-1].end
+            ):
+                raise TraceError(
+                    f"{s.id}: target tokens {t - 1},{t} out of order once split into sub-segments"
+                )
             text = token.text if len(pieces) == 1 else None
             for piece in pieces:
                 tgt_tokens.append(replace(piece, index=len(tgt_tokens) + 1, text=text))
@@ -220,6 +229,26 @@ def test_subtokens_last_at_most_tau_and_cover_each_chunk(session, tau):
             assert all(a.end == b.start for a, b in zip(run, run[1:]))
             pos += n
         assert pos == len(pieces)
+
+
+ONE_CHUNK = SessionTrace(
+    "one", SPEECH_TO_SPEECH, CA, (TimedToken(1, None, 0.0, 300.0),), (), ()
+)
+
+
+@PROPERTY
+@given(speech_sessions(), any_taus)
+@example(ONE_CHUNK, 299.9999999)  # one tau plus less than the count's tolerance
+def test_each_chunk_is_covered_from_its_start_to_its_end(session, tau):
+    fine = subsegment_session(session, SubSegmentConfig(tau=tau))
+    sides = [(session.source, fine.source)]
+    if session.modality == SPEECH_TO_SPEECH:
+        sides.append((session.target, fine.target))
+    for chunks, pieces in sides:
+        for chunk in chunks:
+            run = [p for p in pieces if chunk.start <= p.start < chunk.end]
+            assert run[0].start == chunk.start and run[-1].end == chunk.end
+            assert all(a.end == b.start for a, b in zip(run, run[1:]))
 
 
 @PROPERTY

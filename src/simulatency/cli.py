@@ -55,7 +55,6 @@ from .trace_io import (
     read_lines,
     read_sessions,
     session_to_record,
-    write_sessions,
 )
 
 logger = logging.getLogger("simulatency")
@@ -122,6 +121,17 @@ def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
+
+
+def _write_records(path: str | None, sessions: list[SessionTrace]) -> None:
+    """JSONL records of ``sessions`` to ``path`` (stdout when None or "-")."""
+    out, close = _open_out(path)
+    try:
+        for session in sessions:
+            out.write(json.dumps(session_to_record(session), ensure_ascii=False) + "\n")
+    finally:
+        if close:
+            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +231,7 @@ def _cells(values: dict[str, float], columns: list[str], in_ms) -> list[str]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     metrics = args.metrics.split(",") if args.metrics else None
-    unknown = [m for m in metrics or () if m not in METRICS]
+    unknown = [m or "''" for m in metrics or () if m not in METRICS]  # '' for an empty entry
     if unknown:
         raise SystemExit(_usage_error(args, f"unknown metrics: {', '.join(unknown)}"))
     gran = TokenGranularity.from_spec(args.granularity)
@@ -303,11 +313,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         gen = gen_wait_k if args.strategy == "wait-k" else gen_chunk_k
         sessions = [gen(k, args.src_len, args.tgt_len) for k in _parse_int_spec(args.k)]
 
-    if args.output and args.output != "-":
-        write_sessions(args.output, sessions)
-    else:
-        for session in sessions:
-            print(json.dumps(session_to_record(session), ensure_ascii=False))
+    _write_records(args.output, sessions)
     return EXIT_OK
 
 
@@ -418,11 +424,7 @@ def cmd_concat(args: argparse.Namespace) -> int:
     else:
         pairs = list(zip(sessions, sessions[1:]))
     joined = [concat_sessions(a, b, mode=args.shift) for a, b in pairs]
-    if args.output and args.output != "-":
-        write_sessions(args.output, joined)
-    else:
-        for session in joined:
-            print(json.dumps(session_to_record(session), ensure_ascii=False))
+    _write_records(args.output, joined)
     return EXIT_OK
 
 

@@ -40,26 +40,22 @@ class TimedToken:
     """One source or target token.
 
     ``start``/``end`` are milliseconds on a timed timeline; unit-step sessions
-    leave them unset.  Either both are present or neither.
+    leave them unset.  Either both are present or neither.  A token's number
+    is its 1-based position within its side.
     """
 
-    index: int  # 1-based position within its side
     text: str | None = None
     start: float | None = None
     end: float | None = None
 
     def __post_init__(self) -> None:
-        if self.index < 1:
-            raise TraceError(f"token index must be >= 1, got {self.index}")
         if (self.start is None) != (self.end is None):
-            raise TraceError(f"token {self.index}: start and end must be set together")
+            raise TraceError("start and end must be set together")
         if self.start is not None:
             if self.start < 0:
-                raise TraceError(f"token {self.index}: negative start time {self.start}")
+                raise TraceError(f"negative start time {self.start}")
             if self.end < self.start:
-                raise TraceError(
-                    f"token {self.index}: end {self.end} precedes start {self.start}"
-                )
+                raise TraceError(f"end {self.end} precedes start {self.start}")
 
     @property
     def timed(self) -> bool:
@@ -68,7 +64,7 @@ class TimedToken:
     @property
     def duration(self) -> float:
         if self.start is None:
-            raise TraceError(f"token {self.index} carries no times")
+            raise TraceError("token carries no times")
         return self.end - self.start
 
 
@@ -123,8 +119,15 @@ class SubSegmentConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
-def _as_token_tuple(tokens) -> tuple[TimedToken, ...]:
-    return tuple(tokens)
+def _check_reads(reads: tuple[int, ...], src_len: int, context: str = "") -> None:
+    """Every g in 1..src_len and never decreasing; errors start with ``context``."""
+    prev = 0
+    for t, g in enumerate(reads, start=1):
+        if g < 1 or g > src_len:
+            raise TraceError(f"{context}g({t}) = {g} outside 1..{src_len}")
+        if g < prev:
+            raise TraceError(f"{context}reads not monotone at position {t}")
+        prev = g
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,8 @@ class SessionTrace:
     spans: tuple[ComputationSpan, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source", _as_token_tuple(self.source))
-        object.__setattr__(self, "target", _as_token_tuple(self.target))
+        object.__setattr__(self, "source", tuple(self.source))
+        object.__setattr__(self, "target", tuple(self.target))
         object.__setattr__(self, "reads", tuple(map(int, self.reads)))
         if self.spans is not None:
             object.__setattr__(self, "spans", tuple(self.spans))
@@ -167,28 +170,15 @@ class SessionTrace:
             raise TraceError(f"{self.id}: target tokens without source tokens")
         for side_name, side in (("source", self.source), ("target", self.target)):
             self._validate_side(side_name, side)
-        prev = 0
-        for t, g in enumerate(self.reads, start=1):
-            if g < 1 or g > len(self.source):
-                raise TraceError(
-                    f"{self.id}: g({t}) = {g} outside 1..{len(self.source)}"
-                )
-            if g < prev:
-                raise TraceError(f"{self.id}: reads not monotone at position {t}")
-            prev = g
+        _check_reads(self.reads, len(self.source), f"{self.id}: ")
 
     def _validate_side(self, side_name: str, side: tuple[TimedToken, ...]) -> None:
-        timed_required = self.timeline_kind != STEPS
-        for pos, token in enumerate(side, start=1):
-            if token.index != pos:
-                raise TraceError(
-                    f"{self.id}: {side_name} token at position {pos} has index {token.index}"
-                )
-            if timed_required and token.start is None:
-                raise TraceError(
-                    f"{self.id}: {side_name} token {pos} lacks times on a timed session"
-                )
-        # indices equal positions now, so a pair is (pos - 1, pos)
+        if self.timeline_kind != STEPS:
+            for pos, token in enumerate(side, start=1):
+                if token.start is None:
+                    raise TraceError(
+                        f"{self.id}: {side_name} token {pos} lacks times on a timed session"
+                    )
         prev_start = prev_end = None
         for pos, token in enumerate(side, start=1):
             start = token.start
@@ -243,7 +233,7 @@ def _split_chunks(
     prev_end = None
     for chunk_start, chunk_end in chunks:
         for start, end in _tau_bounds(chunk_start, chunk_end, tau, prev_end):
-            tokens.append(TimedToken(len(tokens) + 1, None, start, end))
+            tokens.append(TimedToken(None, start, end))
         counts.append(len(tokens))
         prev_end = chunk_end
     return tokens, counts
@@ -258,7 +248,6 @@ def subsegment_speech(
     Each chunk [s, e) becomes tokens [s, s+tau), [s+tau, s+2*tau), ...; the
     final token of a chunk ends exactly at e, so a remainder shorter than tau
     forms its own shorter token.  Silence between chunks belongs to no token.
-    Token indices are global and 1-based across all chunks.
     """
     if not segments:
         raise TraceError("no input: empty segment list")
@@ -318,18 +307,16 @@ def regroup_tokens(
             text = "".join(texts) if all(t is not None for t in texts) else None
             start = group[0].start if group[0].timed and group[-1].timed else None
             end = group[-1].end if start is not None else None
-            new_tokens.append(
-                TimedToken(index=len(new_tokens) + 1, text=text, start=start, end=end)
-            )
+            new_tokens.append(TimedToken(text, start, end))
             new_reads.append(chunk_reads[i + len(group) - 1])
         chunk_start = bound
     return tuple(new_tokens), tuple(new_reads)
 
 
-def _shift_token(token: TimedToken, index: int, offset: float) -> TimedToken:
+def _shift_token(token: TimedToken, offset: float) -> TimedToken:
     if token.start is not None:
-        return TimedToken(index, token.text, token.start + offset, token.end + offset)
-    return TimedToken(index, token.text)
+        return TimedToken(token.text, token.start + offset, token.end + offset)
+    return token
 
 
 def concat_sessions(
@@ -355,13 +342,9 @@ def concat_sessions(
         last_ends = [tok.end for tok in (a.source[-1:] + a.target[-1:]) if tok.timed]
         offset = max(last_ends) if last_ends else 0.0
 
-    source = list(a.source)
-    for token in b.source:
-        source.append(_shift_token(token, len(source) + 1, offset))
-    target = list(a.target)
-    for token in b.target:
-        target.append(_shift_token(token, len(target) + 1, offset))
-    reads = list(a.reads) + [g + a.src_len for g in b.reads]
+    source = a.source + tuple(_shift_token(token, offset) for token in b.source)
+    target = a.target + tuple(_shift_token(token, offset) for token in b.target)
+    reads = a.reads + tuple(g + a.src_len for g in b.reads)
 
     reference = None
     if a.reference is not None and b.reference is not None:
@@ -378,9 +361,9 @@ def concat_sessions(
         id=f"{a.id}+{b.id}",
         modality=a.modality,
         timeline_kind=a.timeline_kind,
-        source=tuple(source),
-        target=tuple(target),
-        reads=tuple(reads),
+        source=source,
+        target=target,
+        reads=reads,
         reference=reference,
         spans=spans,
     )
@@ -421,7 +404,7 @@ def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
                 )
             text = token.text if len(bounds) == 1 else None
             for start, end in bounds:
-                pieces_target.append(TimedToken(len(pieces_target) + 1, text, start, end))
+                pieces_target.append(TimedToken(text, start, end))
             pieces_reads.extend([g] * len(bounds))
         target, reads = pieces_target, pieces_reads
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TraceError
+from .core import TraceError, _check_reads
 
 RATIO_HYPOTHESIS = "hypothesis"
 RATIO_REFERENCE = "reference"
@@ -44,13 +44,7 @@ class StepMetricInput:
             raise TraceError("empty reads: nothing was translated")
         if len(self.reads) != self.tgt_len:
             raise TraceError(f"{len(self.reads)} reads for tgt_len {self.tgt_len}")
-        prev = 0
-        for t, g in enumerate(self.reads, start=1):
-            if g < 1 or g > self.src_len:
-                raise TraceError(f"g({t}) = {g} outside 1..{self.src_len}")
-            if g < prev:
-                raise TraceError(f"reads not monotone at position {t}")
-            prev = g
+        _check_reads(self.reads, self.src_len)
         if self.ref_len is not None and self.ref_len < 1:
             raise TraceError(f"ref_len must be >= 1, got {self.ref_len}")
 

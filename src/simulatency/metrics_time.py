@@ -83,7 +83,7 @@ def build_nca_timeline(s: SessionTrace) -> SessionTrace:
     for token, g in zip(s.target, s.reads):
         start = max(source[g - 1].end, prev_end)
         prev_end = start + (token.end - token.start)
-        target.append(TimedToken(token.index, token.text, start, prev_end))
+        target.append(TimedToken(token.text, start, prev_end))
     return SessionTrace(
         s.id, s.modality, NCA, source, tuple(target), s.reads, s.reference, None
     )

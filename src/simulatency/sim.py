@@ -40,8 +40,8 @@ _STEP_METRICS = {
 
 
 def _step_session(session_id: str, reads: list[int], src_len: int) -> SessionTrace:
-    source = tuple(TimedToken(index=j, text=f"x{j}") for j in range(1, src_len + 1))
-    target = tuple(TimedToken(index=t, text=f"y{t}") for t in range(1, len(reads) + 1))
+    source = tuple(TimedToken(f"x{j}") for j in range(1, src_len + 1))
+    target = tuple(TimedToken(f"y{t}") for t in range(1, len(reads) + 1))
     return SessionTrace(
         id=session_id,
         modality=TEXT_TO_TEXT,
@@ -125,12 +125,7 @@ _GRID_MS = 1000.0
 
 def _grid_tokens(prefix: str, slots: list[int]) -> tuple[TimedToken, ...]:
     return tuple(
-        TimedToken(
-            index=i,
-            text=f"{prefix}{i}",
-            start=slot * _GRID_MS,
-            end=(slot + 1) * _GRID_MS,
-        )
+        TimedToken(f"{prefix}{i}", slot * _GRID_MS, (slot + 1) * _GRID_MS)
         for i, slot in enumerate(slots, start=1)
     )
 

@@ -76,7 +76,7 @@ def _int_index(value, what: str, lineno: int | None) -> int:
     raise TraceFormatError(f"{_context(lineno)}{what} must be an integer, got {value!r}")
 
 
-def _parse_token(obj, index: int, timed: bool, what: str, lineno: int | None) -> TimedToken:
+def _parse_token(obj, pos: int, timed: bool, what: str, lineno: int | None) -> TimedToken:
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{_context(lineno)}{what} entry must be an object")
     text = obj.get("text")
@@ -88,9 +88,9 @@ def _parse_token(obj, index: int, timed: bool, what: str, lineno: int | None) ->
         start = _int_ms(_require(obj, "start", lineno) if timed else start, f"{what} start", lineno)
         end = _int_ms(_require(obj, "end", lineno) if timed else end, f"{what} end", lineno)
     try:
-        return TimedToken(index=index, text=text, start=start, end=end)
+        return TimedToken(text, start, end)
     except TraceError as exc:
-        raise TraceFormatError(f"{_context(lineno)}{what} {exc}") from exc
+        raise TraceFormatError(f"{_context(lineno)}{what} token {pos}: {exc}") from exc
 
 
 def _parse_span(obj, lineno: int | None) -> ComputationSpan:
@@ -213,8 +213,23 @@ def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
         yield lineno, record
 
 
+def _read_records(path: str, parse) -> list:
+    """``parse(record, lineno)`` of each record in ``path``, which checks the
+    record's id; an id seen on an earlier line raises TraceFormatError."""
+    first_line: dict[str, int] = {}
+    items = []
+    for lineno, record in _iter_json_lines(path):
+        items.append(parse(record, lineno))
+        first = first_line.setdefault(record["id"], lineno)
+        if first != lineno:
+            raise TraceFormatError(
+                f"line {lineno}: duplicate id {record['id']!r} (first on line {first})"
+            )
+    return items
+
+
 def read_sessions(path: str) -> list[SessionTrace]:
-    return [record_to_session(record, lineno) for lineno, record in _iter_json_lines(path)]
+    return _read_records(path, record_to_session)
 
 
 def write_sessions(path: str, sessions: Iterable[SessionTrace]) -> None:
@@ -248,7 +263,7 @@ def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, t
 
 
 def read_alignments(path: str) -> list[tuple[str, tuple[AlignedPair, ...]]]:
-    return [record_to_alignment(record, lineno) for lineno, record in _iter_json_lines(path)]
+    return _read_records(path, record_to_alignment)
 
 
 def write_alignments(

@@ -24,8 +24,8 @@ def step_session(session_id, reads, src_len, modality=TEXT_TO_TEXT):
         id=session_id,
         modality=modality,
         timeline_kind=STEPS,
-        source=tuple(TimedToken(index=j) for j in range(1, src_len + 1)),
-        target=tuple(TimedToken(index=t) for t in range(1, len(reads) + 1)),
+        source=tuple(TimedToken() for _ in range(src_len)),
+        target=tuple(TimedToken() for _ in reads),
         reads=tuple(reads),
     )
 
@@ -36,10 +36,10 @@ def timed_session(session_id, src_times, tgt_times, reads, modality=SPEECH_TO_SP
         modality=modality,
         timeline_kind=timeline,
         source=tuple(
-            TimedToken(index=i, start=s, end=e) for i, (s, e) in enumerate(src_times, 1)
+            TimedToken(start=s, end=e) for s, e in src_times
         ),
         target=tuple(
-            TimedToken(index=i, start=s, end=e) for i, (s, e) in enumerate(tgt_times, 1)
+            TimedToken(start=s, end=e) for s, e in tgt_times
         ),
         reads=tuple(reads),
         spans=spans,
@@ -52,12 +52,12 @@ def timed_session(session_id, src_times, tgt_times, reads, modality=SPEECH_TO_SP
 
 def test_token_end_before_start_rejected():
     with pytest.raises(TraceError):
-        TimedToken(index=1, start=500, end=400)
+        TimedToken(start=500, end=400)
 
 
 def test_token_times_must_come_together():
     with pytest.raises(TraceError):
-        TimedToken(index=1, start=500)
+        TimedToken(start=500)
 
 
 def test_session_rejects_non_monotone_reads():
@@ -78,8 +78,8 @@ def test_session_rejects_reads_length_mismatch():
             id="bad",
             modality=TEXT_TO_TEXT,
             timeline_kind=STEPS,
-            source=(TimedToken(index=1),),
-            target=(TimedToken(index=1), TimedToken(index=2)),
+            source=(TimedToken(),),
+            target=(TimedToken(), TimedToken()),
             reads=(1,),
         )
 
@@ -90,7 +90,7 @@ def test_timed_session_requires_times():
             id="bad",
             modality=SPEECH_TO_SPEECH,
             timeline_kind="ca",
-            source=(TimedToken(index=1),),
+            source=(TimedToken(),),
             target=(),
             reads=(),
         )
@@ -120,7 +120,6 @@ def test_subsegment_remainder_forms_short_final_token():
 def test_subsegment_silence_belongs_to_no_token():
     tokens = subsegment_speech([(0, 600), (1000, 1300)], SubSegmentConfig(tau=300))
     assert [t.end for t in tokens] == [300, 600, 1300]
-    assert [t.index for t in tokens] == [1, 2, 3]
     assert tokens[2].start == 1000
 
 
@@ -128,7 +127,7 @@ def test_subsegment_silence_belongs_to_no_token():
 def test_subsegment_durations_bounded_by_tau(segments):
     cfg = SubSegmentConfig(tau=300)
     tokens = subsegment_speech(segments, cfg)
-    chunk_finals = {min(t.index for t in tokens if t.end == e) for _, e in segments}
+    chunk_finals = {min(i for i, t in enumerate(tokens, 1) if t.end == e) for _, e in segments}
     for token in tokens:
         assert token.duration <= cfg.tau + 1e-9
         is_final = any(token.end == e for _, e in segments)
@@ -166,7 +165,7 @@ def test_non_positive_tau_rejected():
 # ---------------------------------------------------------------------------
 
 def chars(n, reads):
-    tokens = tuple(TimedToken(index=i + 1, text=chr(ord("a") + i)) for i in range(n))
+    tokens = tuple(TimedToken(text=chr(ord("a") + i)) for i in range(n))
     return tokens, tuple(reads)
 
 
@@ -260,7 +259,7 @@ def test_concat_offsets_reads_by_first_source_length():
     joined = concat_sessions(a, b)
     assert joined.reads == (1, 2)
     assert joined.src_len == 2 and joined.tgt_len == 2
-    assert [t.index for t in joined.source] == [1, 2]
+    assert joined.source == a.source + b.source
 
 
 def test_concat_relative_shifts_by_last_event():
@@ -352,9 +351,9 @@ def test_subsegment_session_speech_to_text_keeps_target():
         id="s2t",
         modality="speech-to-text",
         timeline_kind="nca",
-        source=(TimedToken(index=1, start=0, end=600), TimedToken(index=2, start=600, end=1500)),
-        target=(TimedToken(index=1, text="a", start=700, end=700),
-                TimedToken(index=2, text="b", start=1600, end=1600)),
+        source=(TimedToken(start=0, end=600), TimedToken(start=600, end=1500)),
+        target=(TimedToken(text="a", start=700, end=700),
+                TimedToken(text="b", start=1600, end=1600)),
         reads=(1, 2),
     )
     fine = subsegment_session(s, SubSegmentConfig(tau=300))

@@ -2,17 +2,20 @@
 and exit code 2 from the CLI, never a traceback."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from simulatency import (
+    TraceError,
     TraceFormatError,
     contrast_balanced,
+    gen_wait_k,
     record_to_session,
     session_to_record,
 )
 from simulatency.cli import main
-from simulatency.trace_io import record_to_alignment
+from simulatency.trace_io import read_alignments, read_sessions, record_to_alignment
 
 
 def good_trace():
@@ -123,3 +126,56 @@ def test_integer_valued_float_link_index_is_accepted():
     _, links = record_to_alignment(alignment_with(src=3.0, tgt=4.0))
     assert (links[0].src_index, links[0].tgt_index) == (3, 4)
     assert type(links[0].src_index) is int and type(links[0].tgt_index) is int
+
+
+# The full text of the token-ordering errors, as a user sees it after "error: ".
+TOKEN_ORDER_ERRORS = {
+    "source token ends before it starts": (
+        trace_with(source=[{"text": "x", "start": 500, "end": 400}]),
+        "line 7: source token 1: end 400.0 precedes start 500.0",
+    ),
+    "target token ends before it starts": (
+        trace_with(target=[
+            {"text": "y", "start": 3000, "end": 4000, "g": 3},
+            {"text": "z", "start": 500, "end": 400, "g": 3},
+        ]),
+        "line 7: target token 2: end 400.0 precedes start 500.0",
+    ),
+    "source tokens out of order": (
+        trace_with(source=[
+            {"text": "x", "start": 500, "end": 900},
+            {"text": "y", "start": 400, "end": 1000},
+        ], target=[{"text": "z", "start": 1000, "end": 1100, "g": 2}]),
+        "line 7: contrast-balanced: source tokens 1,2 out of order",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "record, message", TOKEN_ORDER_ERRORS.values(), ids=TOKEN_ORDER_ERRORS.keys()
+)
+def test_token_order_error_text(record, message):
+    with pytest.raises(TraceFormatError) as info:
+        record_to_session(record, 7)
+    assert str(info.value) == message
+
+
+def test_untimed_token_on_timed_session_error_text():
+    with pytest.raises(TraceError) as info:
+        replace(gen_wait_k(2, 4, 4), timeline_kind="ca")
+    assert str(info.value) == "wait2-4x4: source token 1 lacks times on a timed session"
+
+
+def test_repeated_session_id_raises_format_error(tmp_path):
+    path = write_lines(tmp_path / "t.jsonl", [good_trace(), trace_with(id="other"), good_trace()])
+    with pytest.raises(TraceFormatError) as info:
+        read_sessions(path)
+    assert str(info.value) == "line 3: duplicate id 'contrast-balanced' (first on line 1)"
+
+
+def test_repeated_sentence_id_raises_format_error(tmp_path):
+    other = {**good_alignment(), "id": "a2"}
+    path = write_lines(tmp_path / "a.jsonl", [other, good_alignment(), good_alignment()])
+    with pytest.raises(TraceFormatError) as info:
+        read_alignments(path)
+    assert str(info.value) == "line 3: duplicate id 'a1' (first on line 2)"

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -481,7 +482,7 @@ def test_cli_correlate_insufficient_samples(tmp_path, capsys):
 
 def test_cli_concat_adjacent_pairs(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(1, 1, 1), gen_wait_k(1, 1, 1)])
+    write_sessions(str(traces), [gen_wait_k(1, 1, 1), replace(gen_wait_k(1, 1, 1), id="b")])
     out_path = tmp_path / "joined.jsonl"
     assert main(["concat", str(traces), "-o", str(out_path)]) == 0
     joined = read_sessions(str(out_path))
@@ -491,7 +492,7 @@ def test_cli_concat_adjacent_pairs(tmp_path, capsys):
 
 def test_cli_concat_warns_on_odd_count(tmp_path, caplog):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(1, 2, 2)] * 3)
+    write_sessions(str(traces), [replace(gen_wait_k(1, 2, 2), id=f"s{i}") for i in range(3)])
     out_path = tmp_path / "joined.jsonl"
     with caplog.at_level("WARNING"):
         assert main(["concat", str(traces), "-o", str(out_path)]) == 0
@@ -501,7 +502,7 @@ def test_cli_concat_warns_on_odd_count(tmp_path, caplog):
 
 def test_cli_concat_sliding(tmp_path):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(1, 2, 2)] * 3)
+    write_sessions(str(traces), [replace(gen_wait_k(1, 2, 2), id=f"s{i}") for i in range(3)])
     out_path = tmp_path / "joined.jsonl"
     assert main(["concat", str(traces), "--pairing", "sliding", "-o", str(out_path)]) == 0
     assert len(read_sessions(str(out_path))) == 2
@@ -538,6 +539,7 @@ def write_exit_code_inputs(tmp_path):
     paths = {name: tmp_path / name for name in (
         "traces.jsonl", "missing.jsonl", "malformed.jsonl", "not_utf8", "late_not_utf8.jsonl",
         "deep.jsonl", "long_int.jsonl", "bad_record.jsonl", "big_field.csv", "short.csv",
+        "repeated_id.jsonl", "repeated_sentence.jsonl",
     )}
     good = json.dumps(session_to_record(gen_wait_k(2, 4, 4))) + "\n"
     paths["traces.jsonl"].write_text(good, encoding="utf-8")
@@ -549,6 +551,9 @@ def write_exit_code_inputs(tmp_path):
     paths["bad_record.jsonl"].write_text('{"id": "x"}\n', encoding="utf-8")
     paths["big_field.csv"].write_text("id,a,b\ns1,1,1\ns2," + "9" * 200_000 + ",2\n", encoding="utf-8")
     paths["short.csv"].write_text("id,a,b\ns1,1,1\ns2,2,2\n", encoding="utf-8")
+    paths["repeated_id.jsonl"].write_text(good * 2, encoding="utf-8")
+    sentence = '{"id": "a1", "links": []}\n'
+    paths["repeated_sentence.jsonl"].write_text(sentence * 2, encoding="utf-8")
     return {name.split(".")[0]: str(path) for name, path in paths.items()}
 
 
@@ -565,6 +570,7 @@ EXIT_CODES = [
     ("bad --k", ["simulate", "--strategy", "wait-k", "--k", "x..y"], 1, "error:"),
     ("unknown --metrics name, before the file is read",
      ["eval", "{missing}", "--metrics", "al,bogus"], 1, "unknown metrics: bogus"),
+    ("empty --metrics entry", ["eval", "{traces}", "--metrics", "al,"], 1, "unknown metrics: ''"),
     ("missing file", ["eval", "{missing}"], 2, "No such file"),
     ("malformed JSON", ["eval", "{malformed}"], 2, "line 2: malformed JSON"),
     ("non-UTF-8 trace", ["eval", "{not_utf8}"], 2, "line 1: not UTF-8"),
@@ -575,6 +581,9 @@ EXIT_CODES = [
     ("over-long integer", ["eval", "{long_int}"], 2, "line 1: malformed JSON"),
     ("oversized report field", ["correlate", "{big_field}", *CORRELATE_AB], 2, "line 3: field"),
     ("TraceFormatError", ["eval", "{bad_record}"], 2, "line 1: missing field"),
+    ("repeated session id", ["eval", "{repeated_id}"], 2, "line 2: duplicate id 'wait2-4x4'"),
+    ("repeated session id, concat", ["concat", "{repeated_id}"], 2, "line 2: duplicate id"),
+    ("repeated sentence id", ["evs", "{repeated_sentence}"], 2, "line 2: duplicate id 'a1'"),
     ("StatsError", ["correlate", "{short}", *CORRELATE_AB], 2, "insufficient samples"),
 ]
 

@@ -29,10 +29,10 @@ def session(src_times, tgt_times, reads, timeline=NCA, spans=None, session_id="s
         modality=SPEECH_TO_SPEECH,
         timeline_kind=timeline,
         source=tuple(
-            TimedToken(index=i, start=s, end=e) for i, (s, e) in enumerate(src_times, 1)
+            TimedToken(start=s, end=e) for s, e in src_times
         ),
         target=tuple(
-            TimedToken(index=i, start=s, end=e) for i, (s, e) in enumerate(tgt_times, 1)
+            TimedToken(start=s, end=e) for s, e in tgt_times
         ),
         reads=tuple(reads),
         spans=spans,
@@ -108,8 +108,8 @@ def test_atd_rejects_unit_step_sessions():
         id="steps",
         modality="text-to-text",
         timeline_kind="steps",
-        source=(TimedToken(index=1),),
-        target=(TimedToken(index=1),),
+        source=(TimedToken(),),
+        target=(TimedToken(),),
         reads=(1,),
     )
     with pytest.raises(TraceError, match="timed"):

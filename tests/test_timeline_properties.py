@@ -51,7 +51,7 @@ def oracle_subsegment_speech(segments, cfg):
         for i in range(count):
             start = seg_start + i * cfg.tau
             end = seg_end if i == count - 1 else seg_start + (i + 1) * cfg.tau
-            tokens.append(TimedToken(index=len(tokens) + 1, start=start, end=end))
+            tokens.append(TimedToken(start=start, end=end))
     return tuple(tokens)
 
 
@@ -83,7 +83,7 @@ def oracle_subsegment_session(s, cfg):
                 )
             text = token.text if len(pieces) == 1 else None
             for piece in pieces:
-                tgt_tokens.append(replace(piece, index=len(tgt_tokens) + 1, text=text))
+                tgt_tokens.append(replace(piece, text=text))
                 tgt_reads.append(g)
         target = tuple(tgt_tokens)
         reads = tuple(tgt_reads)
@@ -168,11 +168,10 @@ def speech_sessions(draw, valid=True):
         modality=modality,
         timeline_kind=CA,
         source=tuple(
-            TimedToken(i, f"x{i}", float(s), float(e)) for i, (s, e) in enumerate(src_times, 1)
+            TimedToken(f"x{i}", float(s), float(e)) for i, (s, e) in enumerate(src_times, 1)
         ),
         target=tuple(
-            TimedToken(i, text, float(s), float(e))
-            for i, ((s, e), text) in enumerate(zip(tgt_times, texts), 1)
+            TimedToken(text, float(s), float(e)) for (s, e), text in zip(tgt_times, texts)
         ),
         reads=tuple(reads),
         spans=(),
@@ -219,7 +218,6 @@ def test_subtokens_last_at_most_tau_and_cover_each_chunk(session, tau):
     if session.modality == SPEECH_TO_SPEECH:
         sides.append((session.target, fine.target))
     for chunks, pieces in sides:
-        assert [p.index for p in pieces] == list(range(1, len(pieces) + 1))
         assert all(0 < p.end - p.start <= tau for p in pieces)
         pos = 0
         for chunk in chunks:
@@ -232,7 +230,7 @@ def test_subtokens_last_at_most_tau_and_cover_each_chunk(session, tau):
 
 
 ONE_CHUNK = SessionTrace(
-    "one", SPEECH_TO_SPEECH, CA, (TimedToken(1, None, 0.0, 300.0),), (), ()
+    "one", SPEECH_TO_SPEECH, CA, (TimedToken(None, 0.0, 300.0),), (), ()
 )
 
 
@@ -295,7 +293,7 @@ def test_nca_output_follows_its_trigger_keeps_durations_and_is_serialized(sessio
     assert nca.source == session.source and nca.reads == session.reads
     prev_end = 0.0
     for before, after, g in zip(session.target, nca.target, nca.reads):
-        assert (after.index, after.text) == (before.index, before.text)
+        assert after.text == before.text
         assert after.start >= session.source[g - 1].end
         assert after.start >= prev_end
         assert after.duration == before.duration

@@ -114,6 +114,11 @@ def _parse_int_spec(spec: str) -> list[int]:
             values.append(int(part))
     if not values:
         raise ValueError("empty range")
+    seen: set[int] = set()
+    for value in values:
+        if value in seen:  # each value names a session, and ids must be unique
+            raise ValueError(f"value {value} given twice in {spec!r}")
+        seen.add(value)
     return values
 
 

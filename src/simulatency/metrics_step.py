@@ -82,6 +82,11 @@ def cutoff_step(inp: StepMetricInput) -> int:
     return inp.tgt_len
 
 
+def _lagging(schedule, r: float, cutoff: int) -> float:
+    """Mean of schedule(t) minus the ideal diagonal (t-1)/r over t <= cutoff."""
+    return sum(schedule[t] - t / r for t in range(cutoff)) / cutoff
+
+
 def average_lagging(inp: StepMetricInput, ratio_mode: str = RATIO_HYPOTHESIS) -> float:
     """Average lagging: mean of g(t) minus the ideal diagonal, up to cut-off.
 
@@ -89,9 +94,17 @@ def average_lagging(inp: StepMetricInput, ratio_mode: str = RATIO_HYPOTHESIS) ->
     ratio |y*|/|x|, or the length-adaptive max(|y|, |y*|)/|x|.  Can be
     negative when the translation ends well before the input does.
     """
-    r = _length_ratio(inp, ratio_mode)
-    tau = cutoff_step(inp)
-    return sum(inp.reads[t - 1] - (t - 1) / r for t in range(1, tau + 1)) / tau
+    return _lagging(inp.reads, _length_ratio(inp, ratio_mode), cutoff_step(inp))
+
+
+def _serialized_starts(triggers, durations):
+    """Start of each serialized write, no earlier than its trigger or the end of
+    the previous write: s(t) = max(trigger(t), s(t-1) + duration(t-1)), from 0."""
+    free = 0.0
+    for trigger, duration in zip(triggers, durations):
+        start = max(trigger, free)
+        yield start
+        free = start + duration
 
 
 def dal_adjusted_reads(inp: StepMetricInput) -> tuple[float, ...]:
@@ -101,20 +114,13 @@ def dal_adjusted_reads(inp: StepMetricInput) -> tuple[float, ...]:
     |x|/|y| source tokens, so a long output keeps paying for the time it
     occupies: g'(t) = max(g(t), g'(t-1) + |x|/|y|).
     """
-    step = inp.src_len / inp.tgt_len
-    adjusted: list[float] = []
-    for t, g in enumerate(inp.reads, start=1):
-        adjusted.append(float(g) if t == 1 else max(float(g), adjusted[-1] + step))
-    return tuple(adjusted)
+    steps = [inp.src_len / inp.tgt_len] * inp.tgt_len
+    return tuple(_serialized_starts(map(float, inp.reads), steps))
 
 
 def differentiable_average_lagging(inp: StepMetricInput) -> float:
     """DAL: average lagging over the smoothed schedule, with no cut-off."""
-    r = inp.tgt_len / inp.src_len
-    adjusted = dal_adjusted_reads(inp)
-    return sum(
-        adjusted[t - 1] - (t - 1) / r for t in range(1, inp.tgt_len + 1)
-    ) / inp.tgt_len
+    return _lagging(dal_adjusted_reads(inp), inp.tgt_len / inp.src_len, inp.tgt_len)
 
 
 def average_proportion(inp: StepMetricInput) -> float:
@@ -136,18 +142,23 @@ def consecutive_wait(inp: StepMetricInput) -> float:
 def corresponding_input_indices(reads: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """The input index a(t) matched to each output token by ATD.
 
-    a(t) = min(t - d(t), g(t)) where d(t) = (t-1) - a(t-1) is how far the
-    previous output prefix has outgrown the previous input prefix; the
-    surplus accumulates, so tokens after a verbose chunk stay matched to the
+    a(t) = min(a(t-1) + 1, g(t)), so the surplus of output over matched
+    input accumulates: tokens after a verbose chunk stay matched to the
     input that triggered it.
     """
-    a_prev = 0
+    a = 0
     out: list[int] = []
-    for t, g in enumerate(reads, start=1):
-        d = (t - 1) - a_prev
-        a_prev = min(t - d, g)
-        out.append(a_prev)
+    for g in reads:
+        a = min(a + 1, g)
+        out.append(a)
     return tuple(out)
+
+
+def _token_delay(source_ends, target_ends, reads) -> float:
+    """ATD, the mean of T(y_t) - T(x_a(t)), from the end times of the tokens."""
+    matches = corresponding_input_indices(reads)
+    delays = [end - source_ends[a - 1] for end, a in zip(target_ends, matches)]
+    return sum(delays) / len(delays)
 
 
 def atd_steps(inp: StepMetricInput) -> float:
@@ -157,12 +168,8 @@ def atd_steps(inp: StepMetricInput) -> float:
     proceed in parallel but writes are serialized and cannot start before
     the read that triggered them: T(x_j) = j and
     T(y_t) = max(T(x_g(t)), T(y_{t-1})) + 1.
-    The metric is the mean of T(y_t) - T(x_a(t)).
+    The metric is the mean of T(y_t) - T(x_a(t)): the wall-clock ATD on a
+    clock where every token lasts one step.
     """
-    matches = corresponding_input_indices(inp.reads)
-    t_out = 0.0
-    total = 0.0
-    for t in range(1, inp.tgt_len + 1):
-        t_out = max(float(inp.reads[t - 1]), t_out) + 1.0
-        total += t_out - matches[t - 1]
-    return total / inp.tgt_len
+    ends = [s + 1.0 for s in _serialized_starts(inp.reads, [1.0] * inp.tgt_len)]
+    return _token_delay(range(1, inp.src_len + 1), ends, inp.reads)

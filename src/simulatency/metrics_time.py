@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 
 from .core import CA, NCA, SessionTrace, TimedToken, TraceError
-from .metrics_step import corresponding_input_indices
+from .metrics_step import _serialized_starts, _token_delay
 
 logger = logging.getLogger(__name__)
 
@@ -42,11 +42,7 @@ def atd_timed(s: SessionTrace) -> float:
                 s.id,
                 late,
             )
-    matches = corresponding_input_indices(s.reads)
-    total = 0.0
-    for t, token in enumerate(s.target, start=1):
-        total += token.end - s.source[matches[t - 1] - 1].end
-    return total / len(s.target)
+    return _token_delay([tok.end for tok in s.source], [tok.end for tok in s.target], s.reads)
 
 
 def start_offset(s: SessionTrace) -> float:
@@ -77,13 +73,10 @@ def build_nca_timeline(s: SessionTrace) -> SessionTrace:
         raise TraceError(f"{s.id}: missing computation-span annotations")
     _require_timed(s, "re-scheduling")
 
-    source = s.source
-    target = []
-    prev_end = 0.0
-    for token, g in zip(s.target, s.reads):
-        start = max(source[g - 1].end, prev_end)
-        prev_end = start + (token.end - token.start)
-        target.append(TimedToken(token.text, start, prev_end))
-    return SessionTrace(
-        s.id, s.modality, NCA, source, tuple(target), s.reads, s.reference, None
+    durations = [token.end - token.start for token in s.target]
+    starts = _serialized_starts([s.source[g - 1].end for g in s.reads], durations)
+    target = tuple(
+        TimedToken(token.text, start, start + duration)
+        for token, start, duration in zip(s.target, starts, durations)
     )
+    return SessionTrace(s.id, s.modality, NCA, s.source, target, s.reads, s.reference, None)

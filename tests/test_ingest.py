@@ -59,6 +59,13 @@ MALFORMED_TRACES = {
     "token ends before it starts": trace_with(
         source=[{"text": "x", "start": 500, "end": 400}]
     ),
+    "record not an object": [good_trace()],
+    "id empty": trace_with(id=""),
+    "id not a string": trace_with(id=5),
+    "token text not a string": trace_with(source=[{"text": 5, "start": 0, "end": 400}]),
+    "g fractional": trace_with(target=[{"text": "y", "start": 3000, "end": 4000, "g": 1.5}]),
+    "g a bool": trace_with(target=[{"text": "y", "start": 3000, "end": 4000, "g": True}]),
+    "reference not a string": trace_with(reference=5),
 }
 
 
@@ -92,6 +99,9 @@ MALFORMED_ALIGNMENTS = {
     "tgt null": alignment_with(tgt=None),
     "src zero": alignment_with(src=0),
     "src_start negative": alignment_with(src_start=-1),
+    "record not an object": [good_alignment()],
+    "id empty": {**good_alignment(), "id": ""},
+    "verified not a bool": alignment_with(verified="yes"),
 }
 
 

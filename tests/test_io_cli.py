@@ -568,6 +568,11 @@ EXIT_CODES = [
     ("bad --tau", ["eval", "{traces}", "--tau", "-5"], 1, "tau must be positive"),
     ("bad --tau, before the file is read", ["eval", "{missing}", "--tau", "0"], 1, "tau must be"),
     ("bad --k", ["simulate", "--strategy", "wait-k", "--k", "x..y"], 1, "error:"),
+    ("repeated --k value", ["simulate", "--strategy", "wait-k", "--k", "3,3"], 1, "value 3 given twice"),
+    ("--k value repeated by a range",
+     ["simulate", "--strategy", "wait-k", "--k", "1..3,2"], 1, "value 2 given twice"),
+    ("repeated --first-len value",
+     ["simulate", "--strategy", "two-segment", "--first-len", "4,2..4"], 1, "value 4 given twice"),
     ("unknown --metrics name, before the file is read",
      ["eval", "{missing}", "--metrics", "al,bogus"], 1, "unknown metrics: bogus"),
     ("empty --metrics entry", ["eval", "{traces}", "--metrics", "al,"], 1, "unknown metrics: ''"),

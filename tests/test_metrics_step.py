@@ -4,13 +4,19 @@ from itertools import combinations_with_replacement
 import pytest
 
 from simulatency import (
+    CA,
     RATIO_LENGTH_ADAPTIVE,
     RATIO_REFERENCE,
+    SPEECH_TO_TEXT,
+    SessionTrace,
     StepMetricInput,
+    TimedToken,
     TraceError,
     atd_steps,
+    atd_timed,
     average_lagging,
     average_proportion,
+    build_nca_timeline,
     consecutive_wait,
     corresponding_input_indices,
     cutoff_step,
@@ -206,3 +212,70 @@ def test_matched_indices_properties_exhaustively():
                     assert a <= g
                     assert a >= prev
                     prev = a
+
+
+def transcribed_output_times(reads):
+    """T(y_t) = max(T(x_g(t)), T(y_{t-1})) + 1 with T(x_j) = j and T(y_0) = 0."""
+    times = []
+    prev = 0
+    for g in reads:
+        prev = max(g, prev) + 1
+        times.append(prev)
+    return times
+
+
+def transcribed_al(reads, m, n, r):
+    """Ma et al. (2019): the mean of g(t) - (t-1)/r up to the cut-off step."""
+    tau = next((t for t, g in enumerate(reads, start=1) if g == m), n)
+    return sum(reads[t - 1] - (t - 1) / r for t in range(1, tau + 1)) / tau
+
+
+def transcribed_dal(reads, m, n):
+    """Cherry & Foster (2019): g'(1) = g(1), g'(t) = max(g(t), g'(t-1) + |x|/|y|);
+    DAL is the mean of g'(t) - (t-1)/gamma over every t, gamma = |y|/|x|."""
+    adjusted = [float(reads[0])]
+    for g in reads[1:]:
+        adjusted.append(max(float(g), adjusted[-1] + m / n))
+    gamma = n / m
+    return tuple(adjusted), sum(adjusted[t - 1] - (t - 1) / gamma for t in range(1, n + 1)) / n
+
+
+def unit_clock_session(reads, m):
+    """A ca session on the unit clock: source token j spans [j-1, j), every
+    target token spans [0, 1), and no computation spans."""
+    return SessionTrace(
+        id="unit",
+        modality=SPEECH_TO_TEXT,
+        timeline_kind=CA,
+        source=tuple(TimedToken(None, j - 1, j) for j in range(1, m + 1)),
+        target=tuple(TimedToken(None, 0, 1) for _ in reads),
+        reads=reads,
+        spans=(),
+    )
+
+
+def test_kernels_equal_their_transcribed_formulas_exhaustively():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for reads in all_monotone_reads(m, n):
+                inp = StepMetricInput(reads, m, n, ref_len=m)
+                matched = oracle_matches(reads)
+                times = transcribed_output_times(reads)
+                closed = [
+                    t + 1 + max(reads[s - 1] - s for s in range(1, t + 1))
+                    for t in range(1, n + 1)
+                ]
+                assert times == closed
+                total = 0.0
+                for t_out, a in zip(times, matched):
+                    total += t_out - a
+                assert atd_steps(inp) == total / n
+                assert atd_steps(inp) == atd_timed(build_nca_timeline(unit_clock_session(reads, m)))
+                adjusted, dal = transcribed_dal(reads, m, n)
+                assert dal_adjusted_reads(inp) == adjusted
+                assert differentiable_average_lagging(inp) == dal
+                assert average_lagging(inp) == transcribed_al(reads, m, n, n / m)
+                assert average_lagging(inp, RATIO_REFERENCE) == transcribed_al(reads, m, n, m / m)
+                assert average_lagging(inp, RATIO_LENGTH_ADAPTIVE) == transcribed_al(
+                    reads, m, n, max(n, m) / m
+                )

@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from simulatency import (
     read_sessions,
     sweep,
 )
+from simulatency.cli import main
 
 
 def test_wait1_reads():
@@ -108,6 +110,44 @@ def test_two_segment_dal_never_increases():
     dal = by_metric(sweep(["dal"], "two-segment", range(1, 21)), "dal")
     for first in range(1, 20):
         assert dal[first] >= dal[first + 1] - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the same curves through the CLI: simulate | eval
+# ---------------------------------------------------------------------------
+
+def simulated_curves(tmp_path, capsys, strategy, param_flag):
+    """Each of al, dal and atd as {parameter: value} for parameters 1..20,
+    from ``simulate`` piped into ``eval`` (via a file) in-process."""
+    traces = str(tmp_path / f"{strategy}.jsonl")
+    assert main(["simulate", "--strategy", strategy, param_flag, "1..20", "-o", traces]) == 0
+    assert main(["eval", traces, "--metrics", "al,dal,atd"]) == 0
+    rows = [r for r in csv.DictReader(capsys.readouterr().out.splitlines()) if r["id"] != "corpus"]
+    assert len(rows) == 20
+    return {
+        name: {param: float(row[name]) for param, row in enumerate(rows, start=1)}
+        for name in ("al", "dal", "atd")
+    }
+
+
+def test_cli_wait_k_and_chunk_k_atd_curves_agree(tmp_path, capsys):
+    wait = simulated_curves(tmp_path, capsys, "wait-k", "--k")["atd"]
+    chunk = simulated_curves(tmp_path, capsys, "chunk-k", "--k")["atd"]
+    for k in range(1, 21):
+        assert wait[k] == pytest.approx(chunk[k], abs=1e-12)
+
+
+def test_cli_two_segment_curves(tmp_path, capsys):
+    curves = simulated_curves(tmp_path, capsys, "two-segment", "--first-len")
+    atd = curves["atd"]
+    for first in range(1, 10):
+        assert atd[first] > atd[first + 1]
+    for first in range(10, 20):
+        assert atd[first] < atd[first + 1]
+    assert min(atd, key=atd.get) == 10
+    for name in ("al", "dal"):
+        for first in range(1, 20):
+            assert curves[name][first] >= curves[name][first + 1] - 1e-12
 
 
 def test_sweep_rejects_unknown_inputs():

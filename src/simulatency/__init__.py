@@ -53,7 +53,6 @@ from .sim import (
     gen_two_segment,
     gen_chunk_k,
     gen_wait_k,
-    sweep,
 )
 from .stats import SpearmanResult, StatsError, spearman
 from .trace_io import (
@@ -125,7 +124,6 @@ __all__ = [
     "start_offset",
     "subsegment_session",
     "subsegment_speech",
-    "sweep",
     "write_alignments",
     "write_sessions",
 ]

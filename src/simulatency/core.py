@@ -30,6 +30,10 @@ TIMELINES = (CA, NCA, STEPS)
 WORD = "word"
 CHARACTER_GROUP = "character-group"
 
+# the most sub-tokens one speech chunk may split into; a longer chunk, or a
+# smaller tau, is refused rather than materialized token by token
+MAX_SUBTOKENS_PER_CHUNK = 100_000
+
 
 class TraceError(ValueError):
     """A session or trace violates the data contract."""
@@ -117,6 +121,8 @@ class SubSegmentConfig:
     def __post_init__(self) -> None:
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.tau == math.inf:
+            raise ValueError(f"tau must be finite, got {self.tau}")
 
 
 def _check_reads(reads: tuple[int, ...], src_len: int, context: str = "") -> None:
@@ -208,16 +214,23 @@ def _tau_bounds(
     """Sub-token bounds of the speech chunk [start, end): one per ``tau`` ms.
 
     The pieces are [start + i*tau, start + (i+1)*tau) except the last, which
-    ends exactly at ``end``.  A chunk without duration, or one starting
-    before ``prev_end`` (the end of the chunk before it), is rejected.
+    ends exactly at ``end``.  A chunk without duration, one starting before
+    ``prev_end`` (the end of the chunk before it), or one that would split
+    into more than ``MAX_SUBTOKENS_PER_CHUNK`` pieces is rejected.
     """
     if end <= start:
         raise TraceError(f"segment [{start}, {end}) has no duration")
     if prev_end is not None and start < prev_end:
         raise TraceError(f"segment starting at {start} overlaps previous chunk")
+    pieces = (end - start) / tau
+    if not pieces <= MAX_SUBTOKENS_PER_CHUNK:  # also refuses an infinite or NaN count
+        raise TraceError(
+            f"segment [{start}, {end}) would split into more than "
+            f"{MAX_SUBTOKENS_PER_CHUNK} sub-tokens of {tau} ms"
+        )
     # the tolerance keeps exact multiples of tau from making a zero-length tail;
     # a chunk that outlasts a multiple by less gives the excess to its last piece
-    count = max(1, math.ceil((end - start) / tau - 1e-9))
+    count = max(1, math.ceil(pieces - 1e-9))
     bounds = [(start + i * tau, start + (i + 1) * tau) for i in range(count - 1)]
     bounds.append((start + (count - 1) * tau, end))
     return bounds

@@ -4,8 +4,7 @@ The generators produce unit-step sessions for the two classic incremental
 policies (wait-k and fixed-size chunking) and for a two-segment scenario
 whose first output length varies, plus a pair of hand-built timed sessions
 contrasting a balanced translation with one that front-loads a verbose first
-chunk.  ``sweep`` evaluates the step metrics across a parameter range so the
-resulting curves can be re-plotted from a table.
+chunk.
 """
 
 from __future__ import annotations
@@ -21,22 +20,6 @@ from .core import (
     TimedToken,
 )
 from .evs import AlignedPair
-from .metrics_step import (
-    StepMetricInput,
-    atd_steps,
-    average_lagging,
-    average_proportion,
-    consecutive_wait,
-    differentiable_average_lagging,
-)
-
-_STEP_METRICS = {
-    "al": average_lagging,
-    "dal": differentiable_average_lagging,
-    "ap": average_proportion,
-    "cw": consecutive_wait,
-    "atd": atd_steps,
-}
 
 
 def _step_session(session_id: str, reads: list[int], src_len: int) -> SessionTrace:
@@ -74,38 +57,6 @@ def gen_two_segment(first_len: int) -> SessionTrace:
         raise ValueError("first_len must be >= 1")
     reads = [10] * first_len + [20] * 10
     return _step_session(f"twoseg-L{first_len}", reads, 20)
-
-
-_FAMILIES = {
-    "wait-k": lambda p, m, n: gen_wait_k(p, m, n),
-    "chunk-k": lambda p, m, n: gen_chunk_k(p, m, n),
-    "two-segment": lambda p, m, n: gen_two_segment(p),
-}
-
-
-def sweep(
-    metrics: list[str] | tuple[str, ...],
-    family: str,
-    params: list[int] | tuple[int, ...] | range,
-    src_len: int = 20,
-    tgt_len: int = 20,
-) -> list[tuple[int, str, float]]:
-    """Evaluate step metrics across a parameter range.
-
-    Returns rows of (parameter, metric name, value), one curve point per row.
-    """
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown strategy family {family!r}")
-    for name in metrics:
-        if name not in _STEP_METRICS:
-            raise ValueError(f"unknown step metric {name!r}")
-    rows: list[tuple[int, str, float]] = []
-    for param in params:
-        session = _FAMILIES[family](param, src_len, tgt_len)
-        inp = StepMetricInput.from_session(session)
-        for name in metrics:
-            rows.append((param, name, _STEP_METRICS[name](inp)))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,10 @@ def _require(obj: dict, key: str, lineno: int | None):
 
 def _int_ms(value, what: str, lineno: int | None) -> float:
     if type(value) is int and value >= 0:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # more than 308 digits
+            raise TraceFormatError(f"{_context(lineno)}{what} is too large") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TraceFormatError(f"{_context(lineno)}{what} must be a number, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
@@ -157,16 +160,27 @@ def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
         raise TraceFormatError(f"{_context(lineno)}{exc}") from exc
 
 
+def _wire_ms(value: float, owner: str, what: str) -> int:
+    """``value`` as the integer milliseconds of the wire format; a time with
+    a fraction, or an infinite or NaN one, raises TraceError naming ``owner``."""
+    if type(value) is int or value.is_integer():
+        return int(value)
+    raise TraceError(f"{owner}: {what} time {value} is not integer milliseconds")
+
+
 def session_to_record(s: SessionTrace) -> dict:
-    """Serialize a session back to its wire form."""
+    """Serialize a session back to its wire form.
+
+    Raises TraceError naming the session if a time is not integer
+    milliseconds, rather than truncating it."""
 
     def token_obj(token: TimedToken, g: int | None = None) -> dict:
         obj: dict = {}
         if token.text is not None:
             obj["text"] = token.text
         if token.timed:
-            obj["start"] = int(token.start)
-            obj["end"] = int(token.end)
+            obj["start"] = _wire_ms(token.start, s.id, "token")
+            obj["end"] = _wire_ms(token.end, s.id, "token")
         if g is not None:
             obj["g"] = g
         return obj
@@ -182,7 +196,12 @@ def session_to_record(s: SessionTrace) -> dict:
         record["reference"] = s.reference
     if s.spans is not None:
         record["spans"] = [
-            {"kind": sp.kind, "start": int(sp.start), "end": int(sp.end)} for sp in s.spans
+            {
+                "kind": sp.kind,
+                "start": _wire_ms(sp.start, s.id, "span"),
+                "end": _wire_ms(sp.end, s.id, "span"),
+            }
+            for sp in s.spans
         ]
     return record
 
@@ -210,6 +229,15 @@ def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
             raise TraceFormatError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
         except (RecursionError, ValueError) as exc:  # deep nesting, an over-long integer
             raise TraceFormatError(f"line {lineno}: malformed JSON ({exc})") from None
+        # only a \ud800-\udfff escape decodes to an unpaired surrogate, which
+        # no report or trace could be written with
+        if "\\ud" in line or "\\uD" in line:
+            try:
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise TraceFormatError(
+                    f"line {lineno}: unpaired surrogate {exc.object[exc.start]!r} in a string"
+                ) from None
         yield lineno, record
 
 
@@ -277,8 +305,8 @@ def write_alignments(
                     {
                         "src": link.src_index,
                         "tgt": link.tgt_index,
-                        "src_start": int(link.src_start),
-                        "tgt_start": int(link.tgt_start),
+                        "src_start": _wire_ms(link.src_start, sentence_id, "link"),
+                        "tgt_start": _wire_ms(link.tgt_start, sentence_id, "link"),
                         "verified": link.verified,
                     }
                     for link in links

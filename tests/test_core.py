@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from simulatency import (
     subsegment_session,
     subsegment_speech,
 )
+from simulatency.core import MAX_SUBTOKENS_PER_CHUNK
 
 
 def step_session(session_id, reads, src_len, modality=TEXT_TO_TEXT):
@@ -158,6 +160,26 @@ def test_non_positive_tau_rejected():
         SubSegmentConfig(tau=0)
     with pytest.raises(ValueError):
         SubSegmentConfig(tau=-5)
+
+
+def test_non_finite_tau_rejected():
+    with pytest.raises(ValueError, match="tau must be finite, got inf"):
+        SubSegmentConfig(tau=math.inf)
+
+
+@pytest.mark.parametrize(
+    "segment, tau",
+    [((0, 1_000_000), 1e-303), ((0, 300), 1e-6), ((0, 10**300), 300.0)],
+    ids=["tau underflows the count", "tiny tau", "chunk of 10**300 ms"],
+)
+def test_chunk_of_too_many_subtokens_rejected(segment, tau):
+    with pytest.raises(TraceError, match=f"more than {MAX_SUBTOKENS_PER_CHUNK} sub-tokens"):
+        subsegment_speech([segment], SubSegmentConfig(tau=tau))
+
+
+def test_chunk_at_the_subtoken_bound_is_split():
+    tokens = subsegment_speech([(0, MAX_SUBTOKENS_PER_CHUNK)], SubSegmentConfig(tau=1))
+    assert len(tokens) == MAX_SUBTOKENS_PER_CHUNK
 
 
 # ---------------------------------------------------------------------------

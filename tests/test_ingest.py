@@ -66,6 +66,8 @@ MALFORMED_TRACES = {
     "g fractional": trace_with(target=[{"text": "y", "start": 3000, "end": 4000, "g": 1.5}]),
     "g a bool": trace_with(target=[{"text": "y", "start": 3000, "end": 4000, "g": True}]),
     "reference not a string": trace_with(reference=5),
+    "time a 400-digit integer": trace_with(source=[{"text": "x", "start": 0, "end": 10**400}]),
+    "span time a 400-digit integer": trace_with(spans=[{"start": 10**400, "end": 10**400}]),
 }
 
 
@@ -102,6 +104,8 @@ MALFORMED_ALIGNMENTS = {
     "record not an object": [good_alignment()],
     "id empty": {**good_alignment(), "id": ""},
     "verified not a bool": alignment_with(verified="yes"),
+    "src_start a 400-digit integer": alignment_with(src_start=10**400),
+    "tgt_start a 400-digit integer": alignment_with(tgt_start=10**400),
 }
 
 

@@ -1,12 +1,21 @@
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from simulatency import (
+    CA,
+    NCA,
+    SPEECH_TO_TEXT,
+    AlignedPair,
+    ComputationSpan,
+    SessionTrace,
     StepMetricInput,
+    TimedToken,
+    TraceError,
     TraceFormatError,
     atd_steps,
     average_lagging,
@@ -113,6 +122,32 @@ def test_meta_field_is_tolerated():
     record["meta"] = {"system": "demo", "note": [1, 2, 3]}
     session = record_to_session(record)
     assert session.reads == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "start, end", [(0.0, 1.5), (0.5, 2.0), (0.0, math.inf), (0.0, math.nan)]
+)
+def test_session_to_record_refuses_times_it_would_truncate(start, end):
+    session = SessionTrace(
+        "frac", SPEECH_TO_TEXT, NCA, (TimedToken("x", start, end),), (TimedToken("y", 3, 4),), (1,)
+    )
+    with pytest.raises(TraceError, match=r"^frac: token time .+ is not integer milliseconds$"):
+        session_to_record(session)
+
+
+def test_session_to_record_refuses_fractional_span_times():
+    session = replace(
+        contrast_balanced(), timeline_kind=CA, spans=(ComputationSpan("decode", 0, 2.5),)
+    )
+    with pytest.raises(TraceError) as info:
+        session_to_record(session)
+    assert str(info.value) == "contrast-balanced: span time 2.5 is not integer milliseconds"
+
+
+def test_write_alignments_refuses_fractional_link_times(tmp_path):
+    with pytest.raises(TraceError) as info:
+        write_alignments(str(tmp_path / "a.jsonl"), [("a1", [AlignedPair(1, 1, 0.5, 3)])])
+    assert str(info.value) == "a1: link time 0.5 is not integer milliseconds"
 
 
 def test_alignment_round_trip(tmp_path):
@@ -289,6 +324,31 @@ def test_cli_eval_names_input_targets_whose_pieces_leave_order(tmp_path, caplog)
     assert [r.getMessage() for r in caplog.records] == [
         "ov: skipping atd (ov: target tokens 1,2 out of order once split into sub-segments)"
     ]
+
+
+@pytest.mark.parametrize(
+    "chunk_end, tau", [(1_000_000, "1e-303"), (10**300, "300")], ids=["tiny tau", "huge chunk"]
+)
+def test_cli_eval_skips_atd_of_a_chunk_of_too_many_subtokens(tmp_path, caplog, chunk_end, tau):
+    traces = tmp_path / "long.jsonl"
+    record = {
+        "id": "long", "modality": "speech-to-text", "timeline": "nca",
+        "source": [{"start": 0, "end": chunk_end}],
+        "target": [{"text": "y", "start": chunk_end, "end": chunk_end, "g": 1}],
+    }
+    traces.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        code = main([
+            "eval", str(traces), "--tau", tau, "--metrics", "atd,end_offset",
+            "-o", str(tmp_path / "r.csv"),
+        ])
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"long: skipping atd (segment [0.0, {float(chunk_end)}) would split into more than "
+        f"100000 sub-tokens of {float(tau)} ms)"
+    ]
+    row = read_csv((tmp_path / "r.csv").read_text(encoding="utf-8"))[0]
+    assert row["atd"] == "" and row["end_offset"] == "0.0"
 
 
 def test_cli_simulate_round_trips_through_eval(tmp_path, capsys):
@@ -539,7 +599,8 @@ def write_exit_code_inputs(tmp_path):
     paths = {name: tmp_path / name for name in (
         "traces.jsonl", "missing.jsonl", "malformed.jsonl", "not_utf8", "late_not_utf8.jsonl",
         "deep.jsonl", "long_int.jsonl", "bad_record.jsonl", "big_field.csv", "short.csv",
-        "repeated_id.jsonl", "repeated_sentence.jsonl",
+        "repeated_id.jsonl", "repeated_sentence.jsonl", "huge_time.jsonl", "huge_link_time.jsonl",
+        "surrogate.jsonl", "huge_pair.jsonl",
     )}
     good = json.dumps(session_to_record(gen_wait_k(2, 4, 4))) + "\n"
     paths["traces.jsonl"].write_text(good, encoding="utf-8")
@@ -554,6 +615,22 @@ def write_exit_code_inputs(tmp_path):
     paths["repeated_id.jsonl"].write_text(good * 2, encoding="utf-8")
     sentence = '{"id": "a1", "links": []}\n'
     paths["repeated_sentence.jsonl"].write_text(sentence * 2, encoding="utf-8")
+    huge = session_to_record(contrast_balanced())
+    huge["target"][-1]["end"] = 10**400
+    paths["huge_time.jsonl"].write_text(json.dumps(huge) + "\n", encoding="utf-8")
+    link = {"src": 1, "tgt": 1, "src_start": 10**400, "tgt_start": 0}
+    paths["huge_link_time.jsonl"].write_text(
+        json.dumps({"id": "a1", "links": [link]}) + "\n", encoding="utf-8"
+    )
+    paths["surrogate.jsonl"].write_text(good.replace("wait2", "\\ud800wait2"), encoding="utf-8")
+    far = {  # a chunk ending at 1e308 ms: a second one shifted after it ends at infinity
+        "modality": "speech-to-text", "timeline": "nca",
+        "source": [{"start": 0, "end": 10**308}],
+        "target": [{"start": 10**308, "end": 10**308, "g": 1}],
+    }
+    paths["huge_pair.jsonl"].write_text(
+        "".join(json.dumps({"id": key, **far}) + "\n" for key in "ab"), encoding="utf-8"
+    )
     return {name.split(".")[0]: str(path) for name, path in paths.items()}
 
 
@@ -567,6 +644,7 @@ EXIT_CODES = [
     ("bad --granularity", ["eval", "{traces}", "--granularity", "bytes"], 1, "bad granularity"),
     ("bad --tau", ["eval", "{traces}", "--tau", "-5"], 1, "tau must be positive"),
     ("bad --tau, before the file is read", ["eval", "{missing}", "--tau", "0"], 1, "tau must be"),
+    ("non-finite --tau", ["eval", "{traces}", "--tau", "inf"], 1, "tau must be finite, got inf"),
     ("bad --k", ["simulate", "--strategy", "wait-k", "--k", "x..y"], 1, "error:"),
     ("repeated --k value", ["simulate", "--strategy", "wait-k", "--k", "3,3"], 1, "value 3 given twice"),
     ("--k value repeated by a range",
@@ -586,6 +664,14 @@ EXIT_CODES = [
     ("over-long integer", ["eval", "{long_int}"], 2, "line 1: malformed JSON"),
     ("oversized report field", ["correlate", "{big_field}", *CORRELATE_AB], 2, "line 3: field"),
     ("TraceFormatError", ["eval", "{bad_record}"], 2, "line 1: missing field"),
+    ("integer time beyond float range",
+     ["eval", "{huge_time}"], 2, "line 1: target end is too large"),
+    ("integer link time beyond float range",
+     ["evs", "{huge_link_time}"], 2, "line 1: src_start is too large"),
+    ("unpaired surrogate", ["eval", "{surrogate}"], 2, "line 1: unpaired surrogate '\\ud800'"),
+    ("unpaired surrogate, concat", ["concat", "{surrogate}"], 2, "line 1: unpaired surrogate"),
+    ("time beyond float range after concat",
+     ["concat", "{huge_pair}"], 2, "a+b: token time inf is not integer milliseconds"),
     ("repeated session id", ["eval", "{repeated_id}"], 2, "line 2: duplicate id 'wait2-4x4'"),
     ("repeated session id, concat", ["concat", "{repeated_id}"], 2, "line 2: duplicate id"),
     ("repeated sentence id", ["evs", "{repeated_sentence}"], 2, "line 2: duplicate id 'a1'"),

@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulatency import (
     CA,
+    RATIO_HYPOTHESIS,
     RATIO_LENGTH_ADAPTIVE,
     RATIO_REFERENCE,
     SPEECH_TO_TEXT,
@@ -254,28 +258,69 @@ def unit_clock_session(reads, m):
     )
 
 
+def assert_kernels_equal_transcribed_formulas(reads, m):
+    n = len(reads)
+    inp = StepMetricInput(reads, m, n, ref_len=m)
+    matched = oracle_matches(reads)
+    times = transcribed_output_times(reads)
+    closed = [
+        t + 1 + max(reads[s - 1] - s for s in range(1, t + 1))
+        for t in range(1, n + 1)
+    ]
+    assert times == closed
+    total = 0.0
+    for t_out, a in zip(times, matched):
+        total += t_out - a
+    assert atd_steps(inp) == total / n
+    assert atd_steps(inp) == atd_timed(build_nca_timeline(unit_clock_session(reads, m)))
+    adjusted, dal = transcribed_dal(reads, m, n)
+    assert dal_adjusted_reads(inp) == adjusted
+    assert differentiable_average_lagging(inp) == dal
+    assert average_lagging(inp) == transcribed_al(reads, m, n, n / m)
+    assert average_lagging(inp, RATIO_REFERENCE) == transcribed_al(reads, m, n, m / m)
+    assert average_lagging(inp, RATIO_LENGTH_ADAPTIVE) == transcribed_al(
+        reads, m, n, max(n, m) / m
+    )
+
+
 def test_kernels_equal_their_transcribed_formulas_exhaustively():
     for m in range(1, 7):
         for n in range(1, 7):
             for reads in all_monotone_reads(m, n):
-                inp = StepMetricInput(reads, m, n, ref_len=m)
-                matched = oracle_matches(reads)
-                times = transcribed_output_times(reads)
-                closed = [
-                    t + 1 + max(reads[s - 1] - s for s in range(1, t + 1))
-                    for t in range(1, n + 1)
-                ]
-                assert times == closed
-                total = 0.0
-                for t_out, a in zip(times, matched):
-                    total += t_out - a
-                assert atd_steps(inp) == total / n
-                assert atd_steps(inp) == atd_timed(build_nca_timeline(unit_clock_session(reads, m)))
-                adjusted, dal = transcribed_dal(reads, m, n)
-                assert dal_adjusted_reads(inp) == adjusted
-                assert differentiable_average_lagging(inp) == dal
-                assert average_lagging(inp) == transcribed_al(reads, m, n, n / m)
-                assert average_lagging(inp, RATIO_REFERENCE) == transcribed_al(reads, m, n, m / m)
-                assert average_lagging(inp, RATIO_LENGTH_ADAPTIVE) == transcribed_al(
-                    reads, m, n, max(n, m) / m
-                )
+                assert_kernels_equal_transcribed_formulas(reads, m)
+
+
+@st.composite
+def long_schedules(draw):
+    """A read schedule of up to 300 tokens over a source of up to 300."""
+    m = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 300))
+    return tuple(sorted(draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))), m
+
+
+def exact_lagging(schedule, r, cutoff):
+    return sum(schedule[t] - Fraction(t) / r for t in range(cutoff)) / cutoff
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_schedules())
+def test_kernels_equal_their_transcribed_formulas_on_long_schedules(schedule):
+    reads, m = schedule
+    n = len(reads)
+    assert_kernels_equal_transcribed_formulas(reads, m)
+    # the float sums stay within rounding of the exact rational values
+    inp = StepMetricInput(reads, m, n, ref_len=m)
+    cutoff = next((t for t, g in enumerate(reads, start=1) if g == m), n)
+    ratios = {
+        RATIO_HYPOTHESIS: Fraction(n, m),
+        RATIO_REFERENCE: Fraction(1),
+        RATIO_LENGTH_ADAPTIVE: Fraction(max(n, m), m),
+    }
+    for mode, r in ratios.items():
+        exact_al = exact_lagging(reads, r, cutoff)
+        assert average_lagging(inp, mode) == pytest.approx(exact_al, rel=1e-12, abs=1e-9)
+    adjusted = [Fraction(reads[0])]
+    for g in reads[1:]:
+        adjusted.append(max(Fraction(g), adjusted[-1] + Fraction(m, n)))
+    exact_dal = exact_lagging(adjusted, Fraction(n, m), n)
+    assert differentiable_average_lagging(inp) == pytest.approx(exact_dal, rel=1e-12, abs=1e-9)

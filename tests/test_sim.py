@@ -15,7 +15,6 @@ from simulatency import (
     gen_wait_k,
     read_alignments,
     read_sessions,
-    sweep,
 )
 from simulatency.cli import main
 
@@ -66,54 +65,7 @@ def test_generator_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# sweep curves
-# ---------------------------------------------------------------------------
-
-def by_metric(rows, name):
-    return {param: value for param, metric, value in rows if metric == name}
-
-
-def test_sweep_reproduces_al_jump():
-    rows = sweep(["al"], "chunk-k", range(1, 21))
-    al = by_metric(rows, "al")
-    assert al[19] == 9.55
-    assert al[20] == 20.0
-
-
-def test_sweep_atd_identical_for_both_strategies():
-    wait_rows = by_metric(sweep(["atd"], "wait-k", range(1, 21)), "atd")
-    chunk_rows = by_metric(sweep(["atd"], "chunk-k", range(1, 21)), "atd")
-    for k in range(1, 21):
-        assert wait_rows[k] == pytest.approx(chunk_rows[k], abs=1e-12)
-
-
-def test_sweep_two_segment_atd_minimum_at_symmetric_split():
-    atd = by_metric(sweep(["atd"], "two-segment", range(1, 21)), "atd")
-    assert min(atd, key=atd.get) == 10
-
-
-def test_two_segment_atd_regimes():
-    atd = by_metric(sweep(["atd"], "two-segment", range(1, 21)), "atd")
-    for first in range(1, 10):
-        assert atd[first] > atd[first + 1]
-    for first in range(11, 20):
-        assert atd[first] < atd[first + 1]
-
-
-def test_two_segment_al_monotone_non_increasing():
-    al = by_metric(sweep(["al"], "two-segment", range(1, 21)), "al")
-    for first in range(1, 20):
-        assert al[first] >= al[first + 1] - 1e-12
-
-
-def test_two_segment_dal_never_increases():
-    dal = by_metric(sweep(["dal"], "two-segment", range(1, 21)), "dal")
-    for first in range(1, 20):
-        assert dal[first] >= dal[first + 1] - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# the same curves through the CLI: simulate | eval
+# metric curves across a parameter range: simulate | eval
 # ---------------------------------------------------------------------------
 
 def simulated_curves(tmp_path, capsys, strategy, param_flag):
@@ -137,24 +89,25 @@ def test_cli_wait_k_and_chunk_k_atd_curves_agree(tmp_path, capsys):
         assert wait[k] == pytest.approx(chunk[k], abs=1e-12)
 
 
-def test_cli_two_segment_curves(tmp_path, capsys):
-    curves = simulated_curves(tmp_path, capsys, "two-segment", "--first-len")
-    atd = curves["atd"]
+def test_two_segment_atd_regimes(tmp_path, capsys):
+    atd = simulated_curves(tmp_path, capsys, "two-segment", "--first-len")["atd"]
     for first in range(1, 10):
         assert atd[first] > atd[first + 1]
     for first in range(10, 20):
         assert atd[first] < atd[first + 1]
     assert min(atd, key=atd.get) == 10
-    for name in ("al", "dal"):
-        for first in range(1, 20):
-            assert curves[name][first] >= curves[name][first + 1] - 1e-12
 
 
-def test_sweep_rejects_unknown_inputs():
-    with pytest.raises(ValueError):
-        sweep(["al"], "zigzag", range(1, 3))
-    with pytest.raises(ValueError):
-        sweep(["bleu"], "wait-k", range(1, 3))
+def test_two_segment_al_monotone_non_increasing(tmp_path, capsys):
+    al = simulated_curves(tmp_path, capsys, "two-segment", "--first-len")["al"]
+    for first in range(1, 20):
+        assert al[first] >= al[first + 1] - 1e-12
+
+
+def test_two_segment_dal_never_increases(tmp_path, capsys):
+    dal = simulated_curves(tmp_path, capsys, "two-segment", "--first-len")["dal"]
+    for first in range(1, 20):
+        assert dal[first] >= dal[first + 1] - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,10 @@ def test_two_segment_atd_regimes(tmp_path, capsys):
         assert atd[first] > atd[first + 1]
     for first in range(10, 20):
         assert atd[first] < atd[first + 1]
+
+
+def test_two_segment_atd_minimum_at_symmetric_split(tmp_path, capsys):
+    atd = simulated_curves(tmp_path, capsys, "two-segment", "--first-len")["atd"]
     assert min(atd, key=atd.get) == 10
 
 

@@ -89,6 +89,113 @@ def test_malformed_trace_record_exits_2(tmp_path, capsys, record, command):
     assert "Traceback" not in err
 
 
+# The full stderr of `eval` on each malformed record above, on line 2 after a
+# good one.
+MALFORMED_TRACE_ERRORS = {
+    "source not a list": "source must be a JSON array",
+    "target not a list": "target must be a JSON array",
+    "spans not a list": "spans must be a JSON array",
+    "spans null": "spans must be a JSON array",
+    "span entry not an object": "spans entry must be an object",
+    "span entry a string": "spans entry must be an object",
+    "span ends before it starts": "invalid computation span [500.0, 400.0)",
+    "token ends before it starts": "source token 1: end 400.0 precedes start 500.0",
+    "record not an object": "record must be a JSON object",
+    "id empty": "id must be a non-empty string",
+    "id not a string": "id must be a non-empty string",
+    "token text not a string": "source text must be a string",
+    "g fractional": "target g must be an integer",
+    "g a bool": "target g must be an integer",
+    "reference not a string": "reference must be a string",
+    "time a 400-digit integer": "source end is too large",
+    "span time a 400-digit integer": "span start is too large",
+}
+
+
+def source_tokens(*times):
+    return [{"text": f"x{i}", "start": s, "end": e} for i, (s, e) in enumerate(times, 1)]
+
+
+# Records with two faults, and the one of them that eval reports.
+TWO_FAULT_TRACES = {
+    "g a string on target 2, source tokens out of order": (
+        trace_with(
+            source=source_tokens((1000, 2000), (0, 1000), (2000, 3000)),
+            target=[{"text": "y1", "start": 3000, "end": 4000, "g": 3},
+                    {"text": "y2", "start": 4000, "end": 5000, "g": "3"}],
+        ),
+        "target g must be an integer",
+    ),
+    "fractional time on source 3, reference not a string": (
+        trace_with(source=source_tokens((0, 1000), (1000, 2000), (2000.5, 3000)), reference=5),
+        "source start must be integer milliseconds",
+    ),
+    "source 2 ends before it starts, target 1 text not a string": (
+        trace_with(
+            source=source_tokens((0, 1000), (2500, 2000), (2000, 3000)),
+            target=[{"text": 7, "start": 3000, "end": 4000, "g": 3}],
+        ),
+        "source token 2: end 2000.0 precedes start 2500.0",
+    ),
+    "g past the source, target tokens out of order": (
+        trace_with(
+            source=source_tokens((0, 1000), (1000, 2000)),
+            target=[{"text": "y1", "start": 4000, "end": 5000, "g": 1},
+                    {"text": "y2", "start": 3000, "end": 4000, "g": 9}],
+        ),
+        "contrast-balanced: target tokens 1,2 out of order",
+    ),
+    "unknown modality, source tokens out of order": (
+        trace_with(modality="speech", source=source_tokens((1000, 2000), (0, 1000))),
+        "contrast-balanced: unknown modality 'speech'",
+    ),
+    "span ends before it starts, source tokens out of order": (
+        trace_with(
+            source=source_tokens((1000, 2000), (0, 1000)), spans=[{"start": 500, "end": 400}]
+        ),
+        "invalid computation span [500.0, 400.0)",
+    ),
+    "g missing on target 1, negative time on target 2": (
+        trace_with(target=[{"text": "y1", "start": 3000, "end": 4000},
+                           {"text": "y2", "start": -1, "end": 4000, "g": 3}]),
+        "missing field 'g'",
+    ),
+    "unit-step token with a start only, g past the source": (
+        trace_with(
+            timeline="steps", source=[{"text": "x1"}, {"text": "x2", "start": 5}],
+            target=[{"text": "y1", "g": 4}],
+        ),
+        "source end must be a number, got None",
+    ),
+    "target without source, target tokens out of order": (
+        trace_with(
+            source=[],
+            target=[{"text": "y1", "start": 4000, "end": 5000, "g": 1},
+                    {"text": "y2", "start": 3000, "end": 4000, "g": 1}],
+        ),
+        "contrast-balanced: target tokens without source tokens",
+    ),
+}
+
+ERROR_TEXTS = {
+    **{name: (MALFORMED_TRACES[name], text) for name, text in MALFORMED_TRACE_ERRORS.items()},
+    **TWO_FAULT_TRACES,
+}
+
+
+def test_every_malformed_trace_has_its_error_text():
+    assert MALFORMED_TRACE_ERRORS.keys() == MALFORMED_TRACES.keys()
+
+
+@pytest.mark.parametrize("record, message", ERROR_TEXTS.values(), ids=ERROR_TEXTS.keys())
+def test_eval_error_text_and_exit_code(tmp_path, capsys, record, message):
+    path = write_lines(tmp_path / "t.jsonl", [good_trace(), record])
+    assert main(["eval", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"simulatency: error: line 2: {message}\n"
+    assert captured.out == ""
+
+
 MALFORMED_ALIGNMENTS = {
     "links not a list": {"id": "a1", "links": 5},
     "link not an object": {"id": "a1", "links": [5]},

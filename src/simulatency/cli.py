@@ -212,15 +212,17 @@ def _eval_session(
             if not _in_ms(name, session, timeline):
                 if step_inp is None:
                     step_inp = _step_input(session, gran)
-                values[name] = METRICS[name][0](step_inp)
-                continue
-
-            if timed is None:
-                timed = _prepare_timed(session, timeline)
-            if isinstance(timed, str):
-                logger.warning("%s: skipping %s (%s)", session.id, name, timed)
-                continue
-            values[name] = METRICS[name][1](timed, subseg)
+                value = METRICS[name][0](step_inp)
+            else:
+                if timed is None:
+                    timed = _prepare_timed(session, timeline)
+                if isinstance(timed, str):
+                    logger.warning("%s: skipping %s (%s)", session.id, name, timed)
+                    continue
+                value = METRICS[name][1](timed, subseg)
+            if not math.isfinite(value):  # times near the float range overflow
+                raise TraceError(f"value {value} is not finite")
+            values[name] = value
         except TraceError as exc:
             logger.warning("%s: skipping %s (%s)", session.id, name, exc)
     return values
@@ -272,8 +274,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         corpus = {}
         for m in columns:
             present = [values[m] for _, values in rows if m in values]
-            if present:
-                corpus[m] = sum(present) / len(present)
+            if not present:
+                continue
+            mean = sum(present) / len(present)
+            if math.isfinite(mean):
+                corpus[m] = mean
+            else:
+                logger.warning(
+                    "corpus: skipping %s (mean of %d values is not finite)", m, len(present)
+                )
         writer.writerow(
             ["corpus", "", "", "", ""]
             + _cells(corpus, columns, lambda m: all(_in_ms(m, s, args.timeline) for s, _ in rows))

@@ -14,6 +14,7 @@ carry no times and are scored by the step-based metrics only.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,13 +31,24 @@ TIMELINES = (CA, NCA, STEPS)
 WORD = "word"
 CHARACTER_GROUP = "character-group"
 
-# the most sub-tokens one speech chunk may split into; a longer chunk, or a
-# smaller tau, is refused rather than materialized token by token
-MAX_SUBTOKENS_PER_CHUNK = 100_000
+# the most sub-tokens the speech chunks of one session side may split into;
+# longer chunks, or a smaller tau, are refused rather than materialized
+MAX_SUBTOKENS_PER_SIDE = 100_000
 
 
 class TraceError(ValueError):
     """A session or trace violates the data contract."""
+
+
+def _check_times(start: float | None, end: float | None) -> None:
+    """A token's times are both set or both unset, and ``0 <= start <= end``."""
+    if (start is None) != (end is None):
+        raise TraceError("start and end must be set together")
+    if start is not None:
+        if start < 0:
+            raise TraceError(f"negative start time {start}")
+        if end < start:
+            raise TraceError(f"end {end} precedes start {start}")
 
 
 @dataclass(frozen=True)
@@ -53,13 +65,7 @@ class TimedToken:
     end: float | None = None
 
     def __post_init__(self) -> None:
-        if (self.start is None) != (self.end is None):
-            raise TraceError("start and end must be set together")
-        if self.start is not None:
-            if self.start < 0:
-                raise TraceError(f"negative start time {self.start}")
-            if self.end < self.start:
-                raise TraceError(f"end {self.end} precedes start {self.start}")
+        _check_times(self.start, self.end)
 
     @property
     def timed(self) -> bool:
@@ -70,6 +76,55 @@ class TimedToken:
         if self.start is None:
             raise TraceError("token carries no times")
         return self.end - self.start
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class TokenSide(Sequence):
+    """The tokens of one session side, as three parallel columns.
+
+    Indexing or iterating builds each ``TimedToken`` on demand; a slice is a
+    side.  A side equals, and hashes as, the tuple of its tokens.  The
+    columns are taken as given: ``TokenSide.of`` builds a side from tokens.
+    """
+
+    text: tuple[str | None, ...] = ()
+    start: tuple[float | None, ...] = ()
+    end: tuple[float | None, ...] = ()
+
+    @classmethod
+    def of(cls, tokens: Iterable[TimedToken]) -> "TokenSide":
+        if isinstance(tokens, TokenSide):
+            return tokens
+        tokens = tuple(tokens)
+        return cls(*(tuple(getattr(t, f) for t in tokens) for f in ("text", "start", "end")))
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TokenSide(self.text[index], self.start[index], self.end[index])
+        return TimedToken(self.text[index], self.start[index], self.end[index])
+
+    def __iter__(self):
+        return map(TimedToken, self.text, self.start, self.end)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TokenSide):
+            return (self.text, self.start, self.end) == (other.text, other.start, other.end)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if not isinstance(other, (TokenSide, tuple)):
+            return NotImplemented
+        other = TokenSide.of(other)
+        return TokenSide(self.text + other.text, self.start + other.start, self.end + other.end)
+
+    def __radd__(self, other):
+        return TokenSide.of(other) + self if isinstance(other, tuple) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -149,15 +204,15 @@ class SessionTrace:
     id: str
     modality: str
     timeline_kind: str
-    source: tuple[TimedToken, ...]
-    target: tuple[TimedToken, ...]
+    source: TokenSide
+    target: TokenSide
     reads: tuple[int, ...]
     reference: str | None = None
     spans: tuple[ComputationSpan, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source", tuple(self.source))
-        object.__setattr__(self, "target", tuple(self.target))
+        object.__setattr__(self, "source", TokenSide.of(self.source))
+        object.__setattr__(self, "target", TokenSide.of(self.target))
         object.__setattr__(self, "reads", tuple(map(int, self.reads)))
         if self.spans is not None:
             object.__setattr__(self, "spans", tuple(self.spans))
@@ -178,22 +233,20 @@ class SessionTrace:
             self._validate_side(side_name, side)
         _check_reads(self.reads, len(self.source), f"{self.id}: ")
 
-    def _validate_side(self, side_name: str, side: tuple[TimedToken, ...]) -> None:
-        if self.timeline_kind != STEPS:
-            for pos, token in enumerate(side, start=1):
-                if token.start is None:
-                    raise TraceError(
-                        f"{self.id}: {side_name} token {pos} lacks times on a timed session"
-                    )
+    def _validate_side(self, side_name: str, side: TokenSide) -> None:
+        if self.timeline_kind != STEPS and None in side.start:
+            raise TraceError(
+                f"{self.id}: {side_name} token {side.start.index(None) + 1} "
+                "lacks times on a timed session"
+            )
         prev_start = prev_end = None
-        for pos, token in enumerate(side, start=1):
-            start = token.start
+        for pos, (start, end) in enumerate(zip(side.start, side.end), start=1):
             if start is not None and prev_start is not None:
-                if start < prev_start or token.end < prev_end:
+                if start < prev_start or end < prev_end:
                     raise TraceError(
                         f"{self.id}: {side_name} tokens {pos - 1},{pos} out of order"
                     )
-            prev_start, prev_end = start, token.end
+            prev_start, prev_end = start, end
 
     @property
     def src_len(self) -> int:
@@ -209,53 +262,54 @@ class SessionTrace:
 
 
 def _tau_bounds(
-    start: float, end: float, tau: float, prev_end: float | None = None
-) -> list[tuple[float, float]]:
-    """Sub-token bounds of the speech chunk [start, end): one per ``tau`` ms.
+    start: float, end: float, tau: float, prev_end: float | None = None, before: int = 0
+) -> tuple[list[float], list[float]]:
+    """Sub-token starts and ends of the speech chunk [start, end): one per ``tau`` ms.
 
     The pieces are [start + i*tau, start + (i+1)*tau) except the last, which
     ends exactly at ``end``.  A chunk without duration, one starting before
-    ``prev_end`` (the end of the chunk before it), or one that would split
-    into more than ``MAX_SUBTOKENS_PER_CHUNK`` pieces is rejected.
+    ``prev_end`` (the end of the chunk before it), or one that would take its
+    side, which holds ``before`` sub-tokens already, past
+    ``MAX_SUBTOKENS_PER_SIDE`` is rejected.
     """
     if end <= start:
         raise TraceError(f"segment [{start}, {end}) has no duration")
     if prev_end is not None and start < prev_end:
         raise TraceError(f"segment starting at {start} overlaps previous chunk")
     pieces = (end - start) / tau
-    if not pieces <= MAX_SUBTOKENS_PER_CHUNK:  # also refuses an infinite or NaN count
+    room = MAX_SUBTOKENS_PER_SIDE - before
+    if not pieces <= room:  # also refuses an infinite or NaN count
         raise TraceError(
-            f"segment [{start}, {end}) would split into more than "
-            f"{MAX_SUBTOKENS_PER_CHUNK} sub-tokens of {tau} ms"
+            f"segment [{start}, {end}) would split into more than {room} sub-tokens of {tau} ms"
+            + (f", the rest of the {MAX_SUBTOKENS_PER_SIDE} of its side" if before else "")
         )
     # the tolerance keeps exact multiples of tau from making a zero-length tail;
     # a chunk that outlasts a multiple by less gives the excess to its last piece
     count = max(1, math.ceil(pieces - 1e-9))
-    bounds = [(start + i * tau, start + (i + 1) * tau) for i in range(count - 1)]
-    bounds.append((start + (count - 1) * tau, end))
-    return bounds
+    starts = [start + i * tau for i in range(count)]
+    return starts, starts[1:] + [end]
 
 
 def _split_chunks(
     chunks: Iterable[tuple[float, float]], tau: float
-) -> tuple[list[TimedToken], list[int]]:
+) -> tuple[TokenSide, list[int]]:
     """Sub-tokens of consecutive speech chunks, and after each chunk the
     number of sub-tokens so far."""
-    tokens: list[TimedToken] = []
-    counts: list[int] = []
+    starts, ends, counts = [], [], []
     prev_end = None
     for chunk_start, chunk_end in chunks:
-        for start, end in _tau_bounds(chunk_start, chunk_end, tau, prev_end):
-            tokens.append(TimedToken(None, start, end))
-        counts.append(len(tokens))
+        piece_starts, piece_ends = _tau_bounds(chunk_start, chunk_end, tau, prev_end, len(starts))
+        starts += piece_starts
+        ends += piece_ends
+        counts.append(len(starts))
         prev_end = chunk_end
-    return tokens, counts
+    return TokenSide((None,) * len(starts), tuple(starts), tuple(ends)), counts
 
 
 def subsegment_speech(
     segments: list[tuple[float, float]] | tuple[tuple[float, float], ...],
     cfg: SubSegmentConfig = SubSegmentConfig(),
-) -> tuple[TimedToken, ...]:
+) -> TokenSide:
     """Split speech chunks into tokens of at most ``tau`` ms.
 
     Each chunk [s, e) becomes tokens [s, s+tau), [s+tau, s+2*tau), ...; the
@@ -264,7 +318,7 @@ def subsegment_speech(
     """
     if not segments:
         raise TraceError("no input: empty segment list")
-    return tuple(_split_chunks(segments, cfg.tau)[0])
+    return _split_chunks(segments, cfg.tau)[0]
 
 
 def chunk_ends_from_reads(reads: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -282,11 +336,11 @@ def chunk_ends_from_reads(reads: tuple[int, ...] | list[int]) -> tuple[int, ...]
 
 
 def regroup_tokens(
-    tokens: tuple[TimedToken, ...] | list[TimedToken],
+    tokens: Iterable[TimedToken],
     reads: tuple[int, ...] | list[int],
     gran: TokenGranularity,
     chunk_ends: tuple[int, ...] | list[int],
-) -> tuple[tuple[TimedToken, ...], tuple[int, ...]]:
+) -> tuple[TokenSide, tuple[int, ...]]:
     """Re-tokenize a target side into fixed-size character groups per chunk.
 
     Within each output chunk, consecutive character tokens are grouped into
@@ -295,7 +349,7 @@ def regroup_tokens(
     last character: the group is not determined until that character is
     emitted.  Word granularity is the identity.
     """
-    tokens = tuple(tokens)
+    tokens = TokenSide.of(tokens)
     reads = tuple(reads)
     if len(tokens) != len(reads):
         raise TraceError(f"{len(reads)} reads for {len(tokens)} tokens")
@@ -308,28 +362,25 @@ def regroup_tokens(
     if bounds[0] < 1:
         raise TraceError(f"chunk boundary {bounds[0]} out of range")
 
-    new_tokens: list[TimedToken] = []
-    new_reads: list[int] = []
+    texts, starts, ends, new_reads = [], [], [], []
     chunk_start = 0
     for bound in bounds:
-        chunk = tokens[chunk_start:bound]
-        chunk_reads = reads[chunk_start:bound]
-        for i in range(0, len(chunk), gran.group_size):
-            group = chunk[i : i + gran.group_size]
-            texts = [tok.text for tok in group]
-            text = "".join(texts) if all(t is not None for t in texts) else None
-            start = group[0].start if group[0].timed and group[-1].timed else None
-            end = group[-1].end if start is not None else None
-            new_tokens.append(TimedToken(text, start, end))
-            new_reads.append(chunk_reads[i + len(group) - 1])
+        for first in range(chunk_start, bound, gran.group_size):
+            last = min(first + gran.group_size, bound) - 1
+            group = tokens.text[first : last + 1]
+            texts.append(None if None in group else "".join(group))
+            timed = tokens.start[first] is not None and tokens.start[last] is not None
+            starts.append(tokens.start[first] if timed else None)
+            ends.append(tokens.end[last] if timed else None)
+            new_reads.append(reads[last])
         chunk_start = bound
-    return tuple(new_tokens), tuple(new_reads)
+    return TokenSide(tuple(texts), tuple(starts), tuple(ends)), tuple(new_reads)
 
 
-def _shift_token(token: TimedToken, offset: float) -> TimedToken:
-    if token.start is not None:
-        return TimedToken(token.text, token.start + offset, token.end + offset)
-    return token
+def _join_sides(a: TokenSide, b: TokenSide, offset: float) -> TokenSide:
+    """``a`` followed by ``b``, b's times moved by ``offset``."""
+    start, end = (tuple(t if t is None else t + offset for t in col) for col in (b.start, b.end))
+    return TokenSide(a.text + b.text, a.start + start, a.end + end)
 
 
 def concat_sessions(
@@ -352,11 +403,11 @@ def concat_sessions(
 
     offset = 0.0
     if mode == "relative" and a.is_timed:
-        last_ends = [tok.end for tok in (a.source[-1:] + a.target[-1:]) if tok.timed]
+        last_ends = [side.end[-1] for side in (a.source, a.target) if side]
         offset = max(last_ends) if last_ends else 0.0
 
-    source = a.source + tuple(_shift_token(token, offset) for token in b.source)
-    target = a.target + tuple(_shift_token(token, offset) for token in b.target)
+    source = _join_sides(a.source, b.source, offset)
+    target = _join_sides(a.target, b.target, offset)
     reads = a.reads + tuple(g + a.src_len for g in b.reads)
 
     reference = None
@@ -399,29 +450,27 @@ def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
 
     tau = cfg.tau
     # counts[g-1] = number of sub-tokens covering the first g source chunks
-    source, counts = _split_chunks(((t.start, t.end) for t in s.source), tau)
+    source, counts = _split_chunks(zip(s.source.start, s.source.end), tau)
     reads = [counts[g - 1] for g in s.reads]
 
     target = s.target
     if s.modality == SPEECH_TO_SPEECH:
-        pieces_target: list[TimedToken] = []
-        pieces_reads: list[int] = []
-        for t, (token, g) in enumerate(zip(target, reads), start=1):
-            bounds = _tau_bounds(token.start, token.end, tau)
+        texts, starts, ends, pieces_reads = [], [], [], []
+        chunks = zip(target.text, target.start, target.end, reads)
+        for t, (text, chunk_start, chunk_end, g) in enumerate(chunks, start=1):
+            piece_starts, piece_ends = _tau_bounds(chunk_start, chunk_end, tau, None, len(starts))
             # pieces within a chunk are in order; chunks that overlap may not be
-            if pieces_target and (
-                bounds[0][0] < pieces_target[-1].start or bounds[0][1] < pieces_target[-1].end
-            ):
+            if starts and (piece_starts[0] < starts[-1] or piece_ends[0] < ends[-1]):
                 raise TraceError(
                     f"{s.id}: target tokens {t - 1},{t} out of order once split into sub-segments"
                 )
-            text = token.text if len(bounds) == 1 else None
-            for start, end in bounds:
-                pieces_target.append(TimedToken(text, start, end))
-            pieces_reads.extend([g] * len(bounds))
-        target, reads = pieces_target, pieces_reads
+            n = len(piece_starts)
+            texts += [text if n == 1 else None] * n
+            starts += piece_starts
+            ends += piece_ends
+            pieces_reads += [g] * n
+        target, reads = TokenSide(tuple(texts), tuple(starts), tuple(ends)), pieces_reads
 
     return SessionTrace(
-        s.id, s.modality, s.timeline_kind, tuple(source), tuple(target), tuple(reads),
-        s.reference, s.spans,
+        s.id, s.modality, s.timeline_kind, source, target, tuple(reads), s.reference, s.spans
     )

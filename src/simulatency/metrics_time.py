@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 
-from .core import CA, NCA, SessionTrace, TimedToken, TraceError
+from .core import CA, NCA, SessionTrace, TokenSide, TraceError
 from .metrics_step import _serialized_starts, _token_delay
 
 logger = logging.getLogger(__name__)
@@ -30,11 +30,7 @@ def atd_timed(s: SessionTrace) -> float:
     between each output token and its matched input token."""
     _require_timed(s, "ATD")
     if s.timeline_kind == CA:
-        late = sum(
-            1
-            for tok, g in zip(s.target, s.reads)
-            if tok.start < s.source[g - 1].end
-        )
+        late = sum(1 for start, g in zip(s.target.start, s.reads) if start < s.source.end[g - 1])
         if late:
             logger.warning(
                 "%s: %d target tokens start before their read source token ends "
@@ -42,19 +38,19 @@ def atd_timed(s: SessionTrace) -> float:
                 s.id,
                 late,
             )
-    return _token_delay([tok.end for tok in s.source], [tok.end for tok in s.target], s.reads)
+    return _token_delay(s.source.end, s.target.end, s.reads)
 
 
 def start_offset(s: SessionTrace) -> float:
     """Time from the start of the source to the start of the output, ms."""
     _require_timed(s, "start offset")
-    return s.target[0].start - s.source[0].start
+    return s.target.start[0] - s.source.start[0]
 
 
 def end_offset(s: SessionTrace) -> float:
     """Time from the end of the source to the end of the output, ms."""
     _require_timed(s, "end offset")
-    return s.target[-1].end - s.source[-1].end
+    return s.target.end[-1] - s.source.end[-1]
 
 
 def build_nca_timeline(s: SessionTrace) -> SessionTrace:
@@ -73,10 +69,8 @@ def build_nca_timeline(s: SessionTrace) -> SessionTrace:
         raise TraceError(f"{s.id}: missing computation-span annotations")
     _require_timed(s, "re-scheduling")
 
-    durations = [token.end - token.start for token in s.target]
-    starts = _serialized_starts([s.source[g - 1].end for g in s.reads], durations)
-    target = tuple(
-        TimedToken(token.text, start, start + duration)
-        for token, start, duration in zip(s.target, starts, durations)
-    )
+    durations = [end - start for start, end in zip(s.target.start, s.target.end)]
+    starts = tuple(_serialized_starts([s.source.end[g - 1] for g in s.reads], durations))
+    ends = tuple(start + duration for start, duration in zip(starts, durations))
+    target = TokenSide(s.target.text, starts, ends)
     return SessionTrace(s.id, s.modality, NCA, s.source, target, s.reads, s.reference, None)

@@ -28,8 +28,9 @@ from .core import (
     TIMELINES,
     ComputationSpan,
     SessionTrace,
-    TimedToken,
+    TokenSide,
     TraceError,
+    _check_times,
 )
 from .evs import AlignedPair
 
@@ -79,21 +80,36 @@ def _int_index(value, what: str, lineno: int | None) -> int:
     raise TraceFormatError(f"{_context(lineno)}{what} must be an integer, got {value!r}")
 
 
-def _parse_token(obj, pos: int, timed: bool, what: str, lineno: int | None) -> TimedToken:
-    if not isinstance(obj, dict):
-        raise TraceFormatError(f"{_context(lineno)}{what} entry must be an object")
-    text = obj.get("text")
-    if text is not None and not isinstance(text, str):
-        raise TraceFormatError(f"{_context(lineno)}{what} text must be a string")
-    start = obj.get("start")
-    end = obj.get("end")
-    if timed or (start is not None or end is not None):
-        start = _int_ms(_require(obj, "start", lineno) if timed else start, f"{what} start", lineno)
-        end = _int_ms(_require(obj, "end", lineno) if timed else end, f"{what} end", lineno)
-    try:
-        return TimedToken(text, start, end)
-    except TraceError as exc:
-        raise TraceFormatError(f"{_context(lineno)}{what} token {pos}: {exc}") from exc
+def _parse_side(
+    record: dict, what: str, timed: bool, lineno: int | None, reads: list[int] | None = None
+) -> TokenSide:
+    """The ``what`` entries of a record as columns; with ``reads``, each
+    entry's ``g`` is appended to it."""
+    texts, starts, ends = [], [], []
+    for pos, obj in enumerate(_require_list(record, what, lineno), start=1):
+        if not isinstance(obj, dict):
+            raise TraceFormatError(f"{_context(lineno)}{what} entry must be an object")
+        text = obj.get("text")
+        if text is not None and not isinstance(text, str):
+            raise TraceFormatError(f"{_context(lineno)}{what} text must be a string")
+        start = obj.get("start")
+        end = obj.get("end")
+        if timed or (start is not None or end is not None):
+            start = _int_ms(_require(obj, "start", lineno) if timed else start, f"{what} start", lineno)
+            end = _int_ms(_require(obj, "end", lineno) if timed else end, f"{what} end", lineno)
+            try:
+                _check_times(start, end)
+            except TraceError as exc:
+                raise TraceFormatError(f"{_context(lineno)}{what} token {pos}: {exc}") from exc
+        if reads is not None:
+            g = _require(obj, "g", lineno)
+            if isinstance(g, bool) or not isinstance(g, int):
+                raise TraceFormatError(f"{_context(lineno)}target g must be an integer")
+            reads.append(g)
+        texts.append(text)
+        starts.append(start)
+        ends.append(end)
+    return TokenSide(tuple(texts), tuple(starts), tuple(ends))
 
 
 def _parse_span(obj, lineno: int | None) -> ComputationSpan:
@@ -121,19 +137,9 @@ def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
         raise TraceFormatError(f"{_context(lineno)}unknown timeline {timeline!r}")
     timed = timeline != STEPS
 
-    source = [
-        _parse_token(obj, i, timed, "source", lineno)
-        for i, obj in enumerate(_require_list(record, "source", lineno), start=1)
-    ]
-    target = []
-    reads = []
-    for i, obj in enumerate(_require_list(record, "target", lineno), start=1):
-        token = _parse_token(obj, i, timed, "target", lineno)
-        g = _require(obj, "g", lineno) if isinstance(obj, dict) else None
-        if isinstance(g, bool) or not isinstance(g, int):
-            raise TraceFormatError(f"{_context(lineno)}target g must be an integer")
-        target.append(token)
-        reads.append(g)
+    source = _parse_side(record, "source", timed, lineno)
+    reads: list[int] = []
+    target = _parse_side(record, "target", timed, lineno, reads)
 
     reference = record.get("reference")
     if reference is not None and not isinstance(reference, str):
@@ -150,9 +156,9 @@ def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
             id=session_id,
             modality=modality,
             timeline_kind=timeline,
-            source=tuple(source),
-            target=tuple(target),
-            reads=tuple(reads),
+            source=source,
+            target=target,
+            reads=reads,
             reference=reference,
             spans=spans,
         )
@@ -174,13 +180,13 @@ def session_to_record(s: SessionTrace) -> dict:
     Raises TraceError naming the session if a time is not integer
     milliseconds, rather than truncating it."""
 
-    def token_obj(token: TimedToken, g: int | None = None) -> dict:
+    def token_obj(text, start, end, g: int | None = None) -> dict:
         obj: dict = {}
-        if token.text is not None:
-            obj["text"] = token.text
-        if token.timed:
-            obj["start"] = _wire_ms(token.start, s.id, "token")
-            obj["end"] = _wire_ms(token.end, s.id, "token")
+        if text is not None:
+            obj["text"] = text
+        if start is not None:
+            obj["start"] = _wire_ms(start, s.id, "token")
+            obj["end"] = _wire_ms(end, s.id, "token")
         if g is not None:
             obj["g"] = g
         return obj
@@ -189,8 +195,8 @@ def session_to_record(s: SessionTrace) -> dict:
         "id": s.id,
         "modality": s.modality,
         "timeline": s.timeline_kind,
-        "source": [token_obj(t) for t in s.source],
-        "target": [token_obj(t, g) for t, g in zip(s.target, s.reads)],
+        "source": [token_obj(*t) for t in zip(s.source.text, s.source.start, s.source.end)],
+        "target": [token_obj(*t) for t in zip(s.target.text, s.target.start, s.target.end, s.reads)],
     }
     if s.reference is not None:
         record["reference"] = s.reference

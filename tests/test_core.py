@@ -18,7 +18,7 @@ from simulatency import (
     subsegment_session,
     subsegment_speech,
 )
-from simulatency.core import MAX_SUBTOKENS_PER_CHUNK
+from simulatency.core import MAX_SUBTOKENS_PER_SIDE
 
 
 def step_session(session_id, reads, src_len, modality=TEXT_TO_TEXT):
@@ -173,13 +173,13 @@ def test_non_finite_tau_rejected():
     ids=["tau underflows the count", "tiny tau", "chunk of 10**300 ms"],
 )
 def test_chunk_of_too_many_subtokens_rejected(segment, tau):
-    with pytest.raises(TraceError, match=f"more than {MAX_SUBTOKENS_PER_CHUNK} sub-tokens"):
+    with pytest.raises(TraceError, match=f"more than {MAX_SUBTOKENS_PER_SIDE} sub-tokens"):
         subsegment_speech([segment], SubSegmentConfig(tau=tau))
 
 
 def test_chunk_at_the_subtoken_bound_is_split():
-    tokens = subsegment_speech([(0, MAX_SUBTOKENS_PER_CHUNK)], SubSegmentConfig(tau=1))
-    assert len(tokens) == MAX_SUBTOKENS_PER_CHUNK
+    tokens = subsegment_speech([(0, MAX_SUBTOKENS_PER_SIDE)], SubSegmentConfig(tau=1))
+    assert len(tokens) == MAX_SUBTOKENS_PER_SIDE
 
 
 # ---------------------------------------------------------------------------

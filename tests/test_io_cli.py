@@ -351,6 +351,89 @@ def test_cli_eval_skips_atd_of_a_chunk_of_too_many_subtokens(tmp_path, caplog, c
     assert row["atd"] == "" and row["end_offset"] == "0.0"
 
 
+def test_cli_eval_bounds_the_subtokens_of_a_side_not_of_a_chunk(tmp_path, caplog):
+    traces = tmp_path / "long.jsonl"
+    record = {
+        "id": "three-minutes", "modality": "speech-to-text", "timeline": "nca",
+        "source": [{"start": i * 60_000, "end": (i + 1) * 60_000} for i in range(3)],
+        "target": [{"text": "y", "start": 180_000, "end": 180_000, "g": 3}],
+    }
+    traces.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        code = main([
+            "eval", str(traces), "--tau", "1", "--metrics", "atd,end_offset",
+            "-o", str(tmp_path / "r.csv"),
+        ])
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "three-minutes: skipping atd (segment [60000.0, 120000.0) would split into more than "
+        "40000 sub-tokens of 1.0 ms, the rest of the 100000 of its side)"
+    ]
+    row = read_csv((tmp_path / "r.csv").read_text(encoding="utf-8"))[0]
+    assert row["atd"] == "" and row["end_offset"] == "0.0"
+
+
+def read_strict_json(path):
+    """``path`` as JSON, refusing the NaN and Infinity literals."""
+
+    def reject_constant(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
+
+
+def test_cli_eval_leaves_a_non_finite_value_out_of_the_report(tmp_path, caplog):
+    # re-scheduled onto nca, the second target token starts at 1e308 plus
+    # 1.7e308, past the float range
+    big = int(1.7e308)
+    record = {
+        "id": "huge", "modality": "speech-to-text", "timeline": "ca", "spans": [],
+        "source": [{"start": 0, "end": 10**308}],
+        "target": [
+            {"text": "a", "start": 0, "end": big, "g": 1},
+            {"text": "b", "start": big, "end": big, "g": 1},
+        ],
+    }
+    traces = tmp_path / "huge.jsonl"
+    traces.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    argv = ["eval", str(traces), "--timeline", "nca", "-o", str(tmp_path / "r.csv")]
+    with caplog.at_level("WARNING"):
+        assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
+    assert "huge: skipping end_offset (value inf is not finite)" in [
+        r.getMessage() for r in caplog.records
+    ]
+    report = read_strict_json(tmp_path / "r.json")
+    assert "end_offset" not in report["sessions"][0]["metrics"]
+    assert report["sessions"][0]["metrics"]["start_offset"] == 1e308
+    assert "inf" not in (tmp_path / "r.csv").read_text(encoding="utf-8")
+    assert main([*argv, "--strict"]) == 2
+
+
+def test_cli_eval_leaves_an_overflowing_corpus_mean_empty(tmp_path, caplog):
+    big = int(1.7e308)
+    records = [
+        {
+            "id": name, "modality": "speech-to-text", "timeline": "ca",
+            "source": [{"start": 0, "end": 1000}],
+            "target": [{"text": "a", "start": big, "end": big, "g": 1}],
+        }
+        for name in ("one", "two")
+    ]
+    traces = tmp_path / "big.jsonl"
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    argv = ["eval", str(traces), "--metrics", "start_offset", "-o", str(tmp_path / "r.csv")]
+    with caplog.at_level("WARNING"):
+        assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "corpus: skipping start_offset (mean of 2 values is not finite)"
+    ]
+    rows = read_csv((tmp_path / "r.csv").read_text(encoding="utf-8"))
+    assert [row["start_offset"] for row in rows] == [f"{1.7e308:.1f}", f"{1.7e308:.1f}", ""]
+    report = read_strict_json(tmp_path / "r.json")
+    assert report["corpus"]["metrics"] == {}
+    assert main([*argv, "--strict"]) == 2
+
+
 def test_cli_simulate_round_trips_through_eval(tmp_path, capsys):
     traces = tmp_path / "chunk.jsonl"
     code = main(

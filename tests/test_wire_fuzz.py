@@ -1,9 +1,10 @@
 """Property and fuzz tests of the JSONL wire format.
 
 Writing and reading back a session with integer-millisecond times gives the
-same session.  Any JSON value, and any mutation of a valid trace or alignment
-record, run through ``eval``, ``concat`` and ``evs`` exits 0 or 2 and raises
-nothing: a bad record is a data error naming its line, never a traceback.
+same session, whose sides behave as the tuples of their tokens.  Any JSON
+value, and any mutation of a valid trace or alignment record, run through
+``eval``, ``concat`` and ``evs`` exits 0 or 2 and raises nothing: a bad
+record is a data error naming its line, never a traceback.
 """
 
 import contextlib
@@ -11,8 +12,10 @@ import copy
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +31,7 @@ from simulatency import (
     session_to_record,
 )
 from simulatency.cli import main
+from simulatency.core import TokenSide
 
 FUZZ = settings(max_examples=40, deadline=None)
 
@@ -95,6 +99,49 @@ def integer_ms_sessions(draw):
 def test_record_round_trip_is_the_identity_on_integer_ms_sessions(session):
     line = json.dumps(session_to_record(session), ensure_ascii=False)
     assert record_to_session(json.loads(line)) == session
+
+
+def tokens_of(entries):
+    """The tokens of a record's source or target entries, built one by one."""
+    return tuple(TimedToken(e.get("text"), e.get("start"), e.get("end")) for e in entries)
+
+
+slice_bounds = st.none() | st.integers(-8, 8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(integer_ms_sessions(), st.data())
+def test_a_parsed_side_behaves_as_the_tuple_of_its_tokens(session, data):
+    record = session_to_record(session)
+    parsed = record_to_session(record)
+    sides = [
+        (parsed.source, tokens_of(record["source"])),
+        (parsed.target, tokens_of(record["target"])),
+    ]
+    for side, tokens in sides:
+        assert isinstance(side, TokenSide)
+        assert len(side) == len(tokens)
+        for i in range(-len(tokens), len(tokens)):
+            assert side[i] == tokens[i]
+        for i in (len(tokens), -len(tokens) - 1):
+            with pytest.raises(IndexError):
+                side[i]
+        cut = slice(
+            data.draw(slice_bounds), data.draw(slice_bounds),
+            data.draw(st.none() | st.integers(-3, 3).filter(bool)),
+        )
+        assert side[cut] == tokens[cut] and tuple(side[cut]) == tokens[cut]
+        assert list(side) == list(tokens)
+        assert side == tokens and tokens == side and hash(side) == hash(tokens)
+        if tokens:
+            changed = tokens[:-1] + (TimedToken("~", tokens[-1].start, tokens[-1].end),)
+            assert side != changed and changed != side and side != tokens[:-1]
+        other = tokens[::-1] + (TimedToken("~"),)
+        other_side = TokenSide.of(other)
+        for total in (side + other, side + other_side):
+            assert isinstance(total, TokenSide) and tuple(total) == tokens + other
+        assert isinstance(other + side, TokenSide) and tuple(other + side) == other + tokens
+    assert replace(parsed, source=sides[0][1], target=sides[1][1]) == parsed
 
 
 # ---------------------------------------------------------------------------

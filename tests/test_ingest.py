@@ -238,6 +238,79 @@ def test_malformed_alignment_record_exits_2(tmp_path, capsys, record):
     assert "Traceback" not in err
 
 
+# The full stderr of `evs` on each malformed record above, on line 2 after a
+# good one.
+MALFORMED_ALIGNMENT_ERRORS = {
+    "links not a list": "links must be a JSON array",
+    "link not an object": "links entry must be an object",
+    "link a list": "links entry must be an object",
+    "src fractional": "src must be an integer, got 1.7",
+    "src a string": "src must be an integer, got 'x'",
+    "src a numeric string": "src must be an integer, got '3'",
+    "src a bool": "src must be an integer, got True",
+    "tgt fractional": "tgt must be an integer, got 2.5",
+    "tgt null": "tgt must be an integer, got None",
+    "src zero": "alignment indices must be >= 1, got (0, 2)",
+    "src_start negative": "src_start must be non-negative",
+    "record not an object": "record must be a JSON object",
+    "id empty": "id must be a non-empty string",
+    "verified not a bool": "verified must be a boolean",
+    "src_start a 400-digit integer": "src_start is too large",
+    "tgt_start a 400-digit integer": "tgt_start is too large",
+}
+
+# Links with two faults, and the one of them that evs reports.
+TWO_FAULT_ALIGNMENTS = {
+    "verified a string, src zero": (
+        alignment_with(verified="yes", src=0), "verified must be a boolean"
+    ),
+    "src fractional, tgt_start negative": (
+        alignment_with(src=1.7, tgt_start=-1), "src must be an integer, got 1.7"
+    ),
+    "src missing, tgt fractional": (
+        {"id": "a1", "links": [{"tgt": 2.5, "src_start": 0, "tgt_start": 300}]},
+        "missing field 'src'",
+    ),
+    "src zero, src_start negative": (
+        alignment_with(src=0, src_start=-1), "src_start must be non-negative"
+    ),
+    "src zero, tgt negative": (
+        alignment_with(src=0, tgt=-1), "alignment indices must be >= 1, got (0, -1)"
+    ),
+    "tgt zero, tgt_start a 400-digit integer": (
+        alignment_with(tgt=0, tgt_start=10**400), "tgt_start is too large"
+    ),
+    "link 1 src zero, link 2 not an object": (
+        {"id": "a1", "links": [{"src": 0, "tgt": 2, "src_start": 0, "tgt_start": 300}, 5]},
+        "alignment indices must be >= 1, got (0, 2)",
+    ),
+}
+
+ALIGNMENT_ERROR_TEXTS = {
+    **{
+        name: (MALFORMED_ALIGNMENTS[name], text)
+        for name, text in MALFORMED_ALIGNMENT_ERRORS.items()
+    },
+    **TWO_FAULT_ALIGNMENTS,
+}
+
+
+def test_every_malformed_alignment_has_its_error_text():
+    assert MALFORMED_ALIGNMENT_ERRORS.keys() == MALFORMED_ALIGNMENTS.keys()
+
+
+@pytest.mark.parametrize(
+    "record, message", ALIGNMENT_ERROR_TEXTS.values(), ids=ALIGNMENT_ERROR_TEXTS.keys()
+)
+@pytest.mark.parametrize("mode", ["verified-only", "automatic"])
+def test_evs_error_text_and_exit_code(tmp_path, capsys, record, message, mode):
+    path = write_lines(tmp_path / "a.jsonl", [good_alignment(), record])
+    assert main(["evs", path, "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"simulatency: error: line 2: {message}\n"
+    assert captured.out == ""
+
+
 def test_fractional_link_index_is_not_truncated():
     with pytest.raises(TraceFormatError, match="src must be an integer, got 1.7"):
         record_to_alignment(alignment_with(src=1.7))

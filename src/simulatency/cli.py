@@ -236,6 +236,18 @@ def _cells(values: dict[str, float], columns: list[str], in_ms) -> list[str]:
     ]
 
 
+def _corpus_mean(values: list[float], name: str) -> float | None:
+    """The mean of ``values``, or None if there are none or, with a warning,
+    if the mean is not finite (a sum near the float range overflows)."""
+    if not values:
+        return None
+    mean = sum(values) / len(values)
+    if math.isfinite(mean):
+        return mean
+    logger.warning("corpus: skipping %s (mean of %d values is not finite)", name, len(values))
+    return None
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     metrics = args.metrics.split(",") if args.metrics else None
     unknown = [m or "''" for m in metrics or () if m not in METRICS]  # '' for an empty entry
@@ -273,16 +285,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
         corpus = {}
         for m in columns:
-            present = [values[m] for _, values in rows if m in values]
-            if not present:
-                continue
-            mean = sum(present) / len(present)
-            if math.isfinite(mean):
+            mean = _corpus_mean([values[m] for _, values in rows if m in values], m)
+            if mean is not None:
                 corpus[m] = mean
-            else:
-                logger.warning(
-                    "corpus: skipping %s (mean of %d values is not finite)", m, len(present)
-                )
         writer.writerow(
             ["corpus", "", "", "", ""]
             + _cells(corpus, columns, lambda m: all(_in_ms(m, s, args.timeline) for s, _ in rows))
@@ -349,11 +354,14 @@ def cmd_evs(args: argparse.Namespace) -> int:
             if dupes:
                 logger.warning("%s: %d duplicate links dropped", sentence_id, dupes)
             used = (
-                len([p for p in unique if p.verified])
+                len([row for row in unique.rows if row[-1]])
                 if args.mode == VERIFIED_ONLY
                 else len(unique)
             )
             value = mean_evs(unique, args.mode)
+            if value is not None and not math.isfinite(value):  # spans near the float range
+                logger.warning("%s: skipping mean_evs (value %s is not finite)", sentence_id, value)
+                value = None
             if value is not None:
                 means.append(value)
             writer.writerow(
@@ -364,8 +372,8 @@ def cmd_evs(args: argparse.Namespace) -> int:
                     f"{value:.1f}" if value is not None else "",
                 ]
             )
-        corpus = f"{sum(means) / len(means):.1f}" if means else ""
-        writer.writerow(["corpus", "", "", corpus])
+        corpus = _corpus_mean(means, "mean_evs")
+        writer.writerow(["corpus", "", "", f"{corpus:.1f}" if corpus is not None else ""])
     finally:
         if close:
             out.close()

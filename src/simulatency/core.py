@@ -402,8 +402,11 @@ def concat_sessions(
         raise ValueError(f"unknown concat mode {mode!r}")
 
     offset = 0.0
-    if mode == "relative" and a.is_timed:
-        last_ends = [side.end[-1] for side in (a.source, a.target) if side]
+    if mode == "relative":
+        if a.is_timed:
+            last_ends = [side.end[-1] for side in (a.source, a.target) if side]
+        else:  # a unit-step token's times are optional, and ordered only where adjacent
+            last_ends = [t for side in (a.source, a.target) for t in side.end if t is not None]
         offset = max(last_ends) if last_ends else 0.0
 
     source = _join_sides(a.source, b.source, offset)

@@ -9,13 +9,24 @@ annotator's job.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import starmap
+from typing import Iterable
 
 from .core import TraceError
 
 VERIFIED_ONLY = "verified-only"
 AUTOMATIC = "automatic"
 EVS_MODES = (VERIFIED_ONLY, AUTOMATIC)
+
+
+def _check_link(src_index: int, tgt_index: int, src_start: float, tgt_start: float) -> None:
+    """A link's indices are 1-based and its start times non-negative."""
+    if src_index < 1 or tgt_index < 1:
+        raise TraceError(f"alignment indices must be >= 1, got ({src_index}, {tgt_index})")
+    if src_start < 0 or tgt_start < 0:
+        raise TraceError("alignment start times must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -29,35 +40,65 @@ class AlignedPair:
     verified: bool = False
 
     def __post_init__(self) -> None:
-        if self.src_index < 1 or self.tgt_index < 1:
-            raise TraceError(
-                f"alignment indices must be >= 1, got ({self.src_index}, {self.tgt_index})"
-            )
-        if self.src_start < 0 or self.tgt_start < 0:
-            raise TraceError("alignment start times must be non-negative")
+        _check_link(self.src_index, self.tgt_index, self.src_start, self.tgt_start)
 
     @property
     def span(self) -> float:
         return self.tgt_start - self.src_start
 
 
-def dedupe_pairs(
-    pairs: list[AlignedPair] | tuple[AlignedPair, ...]
-) -> tuple[tuple[AlignedPair, ...], int]:
-    """Drop exact duplicate links, returning (unique links, duplicate count)."""
-    seen = set()
-    unique: list[AlignedPair] = []
-    for pair in pairs:
-        if pair in seen:
-            continue
-        seen.add(pair)
-        unique.append(pair)
-    return tuple(unique), len(pairs) - len(unique)
+@dataclass(frozen=True, eq=False, slots=True)
+class AlignmentLinks(Sequence):
+    """The links of one sentence, as rows of ``AlignedPair`` fields.
+
+    Each row is ``(src_index, tgt_index, src_start, tgt_start, verified)``.
+    Indexing or iterating builds each ``AlignedPair`` on demand; a slice is
+    again links.  Links equal, and hash as, the tuple of their pairs.  The
+    rows are taken as given: ``AlignmentLinks.of`` builds links from pairs.
+    """
+
+    rows: tuple[tuple[int, int, float, float, bool], ...] = ()
+
+    @classmethod
+    def of(cls, pairs: Iterable[AlignedPair]) -> "AlignmentLinks":
+        if isinstance(pairs, AlignmentLinks):
+            return pairs
+        return cls(
+            tuple((p.src_index, p.tgt_index, p.src_start, p.tgt_start, p.verified) for p in pairs)
+        )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AlignmentLinks(self.rows[index])
+        return AlignedPair(*self.rows[index])
+
+    def __iter__(self):
+        return starmap(AlignedPair, self.rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AlignmentLinks):
+            return self.rows == other.rows
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        # a pair hashes as the tuple of its fields, which is its row
+        return hash(self.rows)
 
 
-def mean_evs(
-    pairs: list[AlignedPair] | tuple[AlignedPair, ...], mode: str = VERIFIED_ONLY
-) -> float | None:
+def dedupe_pairs(pairs: Iterable[AlignedPair]) -> tuple[AlignmentLinks, int]:
+    """Drop exact duplicate links, returning (unique links, duplicate count).
+
+    The first of equal links is kept; links are equal when all five fields are.
+    """
+    links = AlignmentLinks.of(pairs)
+    unique = AlignmentLinks(tuple(dict.fromkeys(links.rows)))
+    return unique, len(links) - len(unique)
+
+
+def mean_evs(pairs: Iterable[AlignedPair], mode: str = VERIFIED_ONLY) -> float | None:
     """Mean ear-voice span over alignment links, in milliseconds.
 
     ``verified-only`` averages only human-confirmed links; ``automatic``
@@ -67,9 +108,9 @@ def mean_evs(
     """
     if mode not in EVS_MODES:
         raise ValueError(f"unknown EVS mode {mode!r}")
-    unique, _ = dedupe_pairs(pairs)
+    rows = dedupe_pairs(pairs)[0].rows
     if mode == VERIFIED_ONLY:
-        unique = tuple(p for p in unique if p.verified)
-    if not unique:
+        rows = [row for row in rows if row[-1]]
+    if not rows:
         return None
-    return sum(p.span for p in unique) / len(unique)
+    return sum(tgt_start - src_start for _, _, src_start, tgt_start, _ in rows) / len(rows)

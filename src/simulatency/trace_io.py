@@ -32,7 +32,7 @@ from .core import (
     TraceError,
     _check_times,
 )
-from .evs import AlignedPair
+from .evs import AlignedPair, AlignmentLinks, _check_link
 
 
 class TraceFormatError(TraceError):
@@ -272,13 +272,13 @@ def write_sessions(path: str, sessions: Iterable[SessionTrace]) -> None:
             fp.write(json.dumps(session_to_record(session), ensure_ascii=False) + "\n")
 
 
-def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, tuple[AlignedPair, ...]]:
+def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, AlignmentLinks]:
     if not isinstance(record, dict):
         raise TraceFormatError(f"{_context(lineno)}record must be a JSON object")
     sentence_id = _require(record, "id", lineno)
     if not isinstance(sentence_id, str) or not sentence_id:
         raise TraceFormatError(f"{_context(lineno)}id must be a non-empty string")
-    links = []
+    rows = []
     for obj in _require_list(record, "links", lineno):
         if not isinstance(obj, dict):
             raise TraceFormatError(f"{_context(lineno)}links entry must be an object")
@@ -290,13 +290,14 @@ def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, t
         src_start = _int_ms(_require(obj, "src_start", lineno), "src_start", lineno)
         tgt_start = _int_ms(_require(obj, "tgt_start", lineno), "tgt_start", lineno)
         try:
-            links.append(AlignedPair(src, tgt, src_start, tgt_start, verified))
+            _check_link(src, tgt, src_start, tgt_start)
         except TraceError as exc:
             raise TraceFormatError(f"{_context(lineno)}{exc}") from exc
-    return sentence_id, tuple(links)
+        rows.append((src, tgt, src_start, tgt_start, verified))
+    return sentence_id, AlignmentLinks(tuple(rows))
 
 
-def read_alignments(path: str) -> list[tuple[str, tuple[AlignedPair, ...]]]:
+def read_alignments(path: str) -> list[tuple[str, AlignmentLinks]]:
     return _read_records(path, record_to_alignment)
 
 

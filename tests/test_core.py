@@ -293,6 +293,24 @@ def test_concat_relative_shifts_by_last_event():
     assert joined.reads == (1, 2)
 
 
+def test_concat_relative_shifts_unit_step_times_past_the_latest_end():
+    # a unit-step session's timed tokens are ordered only where adjacent, so
+    # a's last end (200) need not be its latest (900)
+    a = SessionTrace(
+        id="a", modality=TEXT_TO_TEXT, timeline_kind=STEPS,
+        source=(TimedToken("x1", 0, 900), TimedToken("x2"), TimedToken("x3", 100, 200)),
+        target=(TimedToken("y1"),), reads=(3,),
+    )
+    b = replace(
+        a, id="b", source=(TimedToken("z1", 0, 50),), target=(TimedToken("w1", 5, 10),), reads=(1,)
+    )
+    joined = concat_sessions(a, b)
+    assert joined.source[-1] == TimedToken("z1", 900, 950)
+    assert joined.target[-1] == TimedToken("w1", 905, 910)
+    untimed = replace(a, source=(TimedToken("x1"),), reads=(1,))
+    assert concat_sessions(untimed, b).source[-1] == TimedToken("z1", 0, 50)
+
+
 def test_concat_absolute_keeps_timestamps():
     a = timed_session("a", [(0, 1000)], [(1000, 1500)], [1])
     b = timed_session("b", [(3000, 4000)], [(4000, 4500)], [1])

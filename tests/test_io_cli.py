@@ -505,6 +505,47 @@ def test_cli_evs_absent_rows_stay_blank(tmp_path, capsys):
     assert float(by_id["corpus"]["mean_evs"]) == pytest.approx(2300.0)
 
 
+def verified_link(src, tgt_start):
+    return {"src": src, "tgt": src, "src_start": 0, "tgt_start": tgt_start, "verified": True}
+
+
+def test_cli_evs_leaves_an_overflowing_sentence_mean_empty(tmp_path, caplog):
+    big = 17 * 10**307  # two spans of 1.7e308 sum past the float range
+    records = [
+        {"id": "huge", "links": [verified_link(1, big), verified_link(2, big)]},
+        {"id": "fine", "links": [verified_link(1, 500)]},
+    ]
+    path = tmp_path / "huge.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    argv = ["evs", str(path), "-o", str(tmp_path / "r.csv")]
+    with caplog.at_level("WARNING"):
+        assert main(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "huge: skipping mean_evs (value inf is not finite)"
+    ]
+    text = (tmp_path / "r.csv").read_text(encoding="utf-8")
+    assert text == "id,n_links,n_used,mean_evs\nhuge,2,2,\nfine,1,1,500.0\ncorpus,,,500.0\n"
+    assert main(argv + ["--mode", "automatic"]) == 0
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8") == text
+    assert main(argv + ["--strict"]) == 2
+
+
+def test_cli_evs_leaves_an_overflowing_corpus_mean_empty(tmp_path, caplog):
+    big = int(1.7e308)
+    records = [{"id": name, "links": [verified_link(1, big)]} for name in ("one", "two")]
+    path = tmp_path / "big.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    argv = ["evs", str(path), "-o", str(tmp_path / "r.csv")]
+    with caplog.at_level("WARNING"):
+        assert main(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "corpus: skipping mean_evs (mean of 2 values is not finite)"
+    ]
+    rows = read_csv((tmp_path / "r.csv").read_text(encoding="utf-8"))
+    assert [row["mean_evs"] for row in rows] == [f"{1.7e308:.1f}", f"{1.7e308:.1f}", ""]
+    assert main(argv + ["--strict"]) == 2
+
+
 def read_csv_main(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -649,6 +690,31 @@ def test_cli_concat_sliding(tmp_path):
     out_path = tmp_path / "joined.jsonl"
     assert main(["concat", str(traces), "--pairing", "sliding", "-o", str(out_path)]) == 0
     assert len(read_sessions(str(out_path))) == 2
+
+
+def test_cli_concat_shifts_the_times_of_unit_step_sessions(tmp_path, capsys):
+    # each record is valid alone; joined unshifted, b's tokens would precede a's
+    records = [
+        {
+            "id": name, "modality": "text-to-text", "timeline": "steps",
+            "source": [{"text": "x1", "start": 0, "end": 100},
+                       {"text": "x2", "start": 100, "end": 200}],
+            "target": [{"text": "y1", "g": 2}],
+        }
+        for name in ("a", "b")
+    ]
+    traces = tmp_path / "steps.jsonl"
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["eval", str(traces), "-o", str(tmp_path / "r.csv")]) == 0
+    out_path = tmp_path / "joined.jsonl"
+    assert main(["concat", str(traces), "-o", str(out_path)]) == 0
+    (joined,) = read_sessions(str(out_path))
+    assert [(t.start, t.end) for t in joined.source] == [
+        (0.0, 100.0), (100.0, 200.0), (200.0, 300.0), (300.0, 400.0)
+    ]
+    assert [t.start for t in joined.target] == [None, None] and joined.reads == (2, 4)
+    assert main(["concat", str(traces), "--shift", "absolute"]) == 2
+    assert "a+b: source tokens 2,3 out of order" in capsys.readouterr().err
 
 
 def test_cli_concat_single_session_is_data_error(tmp_path, capsys):

@@ -353,11 +353,7 @@ def cmd_evs(args: argparse.Namespace) -> int:
             unique, dupes = dedupe_pairs(links)
             if dupes:
                 logger.warning("%s: %d duplicate links dropped", sentence_id, dupes)
-            used = (
-                len([row for row in unique.rows if row[-1]])
-                if args.mode == VERIFIED_ONLY
-                else len(unique)
-            )
+            used = len(unique.select(args.mode))
             value = mean_evs(unique, args.mode)
             if value is not None and not math.isfinite(value):  # spans near the float range
                 logger.warning("%s: skipping mean_evs (value %s is not finite)", sentence_id, value)

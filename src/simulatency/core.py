@@ -389,8 +389,8 @@ def concat_sessions(
     """Join two sessions into one streaming session.
 
     ``mode="relative"`` treats b's timestamps as starting from zero and shifts
-    them past a's final event (latest of a's last source end and last target
-    end): b cannot exist on the timeline before a has finished happening.
+    them past a's latest end time: b cannot exist on the timeline before a
+    has finished happening.
     ``mode="absolute"`` keeps b's timestamps as recorded (already on a's
     clock).  b's reads are offset by a's source length.
     """
@@ -402,12 +402,9 @@ def concat_sessions(
         raise ValueError(f"unknown concat mode {mode!r}")
 
     offset = 0.0
-    if mode == "relative":
-        if a.is_timed:
-            last_ends = [side.end[-1] for side in (a.source, a.target) if side]
-        else:  # a unit-step token's times are optional, and ordered only where adjacent
-            last_ends = [t for side in (a.source, a.target) for t in side.end if t is not None]
-        offset = max(last_ends) if last_ends else 0.0
+    if mode == "relative":  # a unit-step token's times are optional
+        ends = (t for side in (a.source, a.target) for t in side.end if t is not None)
+        offset = max(ends, default=0.0)
 
     source = _join_sides(a.source, b.source, offset)
     target = _join_sides(a.target, b.target, offset)

@@ -87,6 +87,14 @@ class AlignmentLinks(Sequence):
         # a pair hashes as the tuple of its fields, which is its row
         return hash(self.rows)
 
+    def select(self, mode: str) -> "AlignmentLinks":
+        """The links that ``mode`` averages: the verified ones, or all of them."""
+        if mode not in EVS_MODES:
+            raise ValueError(f"unknown EVS mode {mode!r}")
+        if mode == AUTOMATIC:
+            return self
+        return AlignmentLinks(tuple([row for row in self.rows if row[-1]]))  # a list builds faster
+
 
 def dedupe_pairs(pairs: Iterable[AlignedPair]) -> tuple[AlignmentLinks, int]:
     """Drop exact duplicate links, returning (unique links, duplicate count).
@@ -106,11 +114,7 @@ def mean_evs(pairs: Iterable[AlignedPair], mode: str = VERIFIED_ONLY) -> float |
     link set is empty (such sentences are dropped from corpus statistics, not
     scored as zero).  Negative spans are averaged as-is.
     """
-    if mode not in EVS_MODES:
-        raise ValueError(f"unknown EVS mode {mode!r}")
-    rows = dedupe_pairs(pairs)[0].rows
-    if mode == VERIFIED_ONLY:
-        rows = [row for row in rows if row[-1]]
+    rows = dedupe_pairs(pairs)[0].select(mode).rows
     if not rows:
         return None
     return sum(tgt_start - src_start for _, _, src_start, tgt_start, _ in rows) / len(rows)

@@ -46,8 +46,12 @@ def oracle_unique(pairs):
     return tuple(unique)
 
 
+def oracle_select(pairs, mode):
+    return tuple(p for p in pairs if p.verified or mode == AUTOMATIC)
+
+
 def oracle_mean(pairs, mode):
-    selected = [p for p in oracle_unique(pairs) if p.verified or mode == AUTOMATIC]
+    selected = oracle_select(oracle_unique(pairs), mode)
     return sum(p.span for p in selected) / len(selected) if selected else None
 
 
@@ -76,6 +80,8 @@ def assert_links_behave_as(links, pairs, data):
     assert list(links) == list(pairs) and field_types(links) == field_types(pairs)
     assert links == pairs and pairs == links and hash(links) == hash(pairs)
     assert links == AlignmentLinks.of(pairs)
+    for mode in (VERIFIED_ONLY, AUTOMATIC):
+        assert links.select(mode) == oracle_select(pairs, mode)
     if pairs:
         last = pairs[-1]
         changed = pairs[:-1] + (

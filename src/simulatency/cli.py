@@ -12,12 +12,13 @@ warnings escalated by ``--strict``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     CA,
@@ -84,6 +85,8 @@ METRICS = {
 }
 # left out of the default metric set of a session without a reference
 NEEDS_REFERENCE = ("al_ref", "laal")
+# the leading cells of an eval row: the CSV header and each JSON session's keys
+_HEAD_FIELDS = ("id", "modality", "timeline", "src_len", "tgt_len")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,21 +125,21 @@ def _parse_int_spec(spec: str) -> list[int]:
     return values
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout for None or "-", else ``path`` opened for writing and closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            yield out
 
 
 def _write_records(path: str | None, sessions: list[SessionTrace]) -> None:
     """JSONL records of ``sessions`` to ``path`` (stdout when None or "-")."""
-    out, close = _open_out(path)
-    try:
+    with _output(path) as out:
         for session in sessions:
             out.write(json.dumps(session_to_record(session), ensure_ascii=False) + "\n")
-    finally:
-        if close:
-            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +184,12 @@ def _prepare_timed(session: SessionTrace, timeline: str | None) -> SessionTrace 
     return f"cannot realize {timeline!r} timeline from {session.timeline_kind!r} trace"
 
 
-def _in_ms(name: str, session: SessionTrace, timeline: str | None) -> bool:
-    """Whether ``session`` scores ``name`` with its wall-clock kernel, in ms:
-    its only kernel, or one of two unless the session or ``timeline`` is steps."""
+def _in_ms(name: str, kind: str, timeline: str | None) -> bool:
+    """Whether a session of timeline ``kind`` scores ``name`` with its wall-clock
+    kernel, in ms: its only kernel, or one of two unless ``kind`` or ``timeline``
+    is steps."""
     step, timed = METRICS[name]
-    return timed is not None and (step is None or STEPS not in (session.timeline_kind, timeline))
+    return timed is not None and (step is None or STEPS not in (kind, timeline))
 
 
 def _eval_session(
@@ -209,7 +213,7 @@ def _eval_session(
 
     for name in metrics:
         try:
-            if not _in_ms(name, session, timeline):
+            if not _in_ms(name, session.timeline_kind, timeline):
                 if step_inp is None:
                     step_inp = _step_input(session, gran)
                 value = METRICS[name][0](step_inp)
@@ -228,10 +232,15 @@ def _eval_session(
     return values
 
 
-def _cells(values: dict[str, float], columns: list[str], in_ms) -> list[str]:
-    """Report cells: one decimal where ``in_ms(name)``, else full precision."""
+def _cells(
+    values: dict[str, float], columns: list[str], kinds: Iterable[str], timeline: str | None
+) -> list[str]:
+    """Report cells: one decimal where sessions of every timeline in ``kinds``
+    score the metric in ms, else full precision."""
     return [
-        (f"{values[m]:.1f}" if in_ms(m) else repr(values[m])) if m in values else ""
+        (f"{values[m]:.1f}" if all(_in_ms(m, k, timeline) for k in kinds) else repr(values[m]))
+        if m in values
+        else ""
         for m in columns
     ]
 
@@ -259,55 +268,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not sessions:
         raise TraceError(f"{args.traces}: no sessions")
 
-    rows = []
+    rows = []  # (head, values): the row's _HEAD_FIELDS cells and its metric values
     for session in sessions:
-        values = _eval_session(session, metrics, args.timeline, gran, subseg)
-        rows.append((session, values))
+        head = (
+            session.id, session.modality, session.timeline_kind, session.src_len, session.tgt_len
+        )
+        rows.append((head, _eval_session(session, metrics, args.timeline, gran, subseg)))
 
     if metrics is not None:
         columns = [m for m in METRICS if m in metrics]
     else:
         columns = [m for m in METRICS if any(m in values for _, values in rows)]
-    out, close = _open_out(args.output)
-    try:
+    kinds = {head[2] for head, _ in rows}  # the sessions' timelines
+    with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["id", "modality", "timeline", "src_len", "tgt_len", *columns])
-        for session, values in rows:
-            writer.writerow(
-                [
-                    session.id,
-                    session.modality,
-                    session.timeline_kind,
-                    session.src_len,
-                    session.tgt_len,
-                ]
-                + _cells(values, columns, lambda m: _in_ms(m, session, args.timeline))
-            )
-        corpus = {}
-        for m in columns:
-            mean = _corpus_mean([values[m] for _, values in rows if m in values], m)
-            if mean is not None:
-                corpus[m] = mean
-        writer.writerow(
-            ["corpus", "", "", "", ""]
-            + _cells(corpus, columns, lambda m: all(_in_ms(m, s, args.timeline) for s, _ in rows))
-        )
-    finally:
-        if close:
-            out.close()
+        writer.writerow([*_HEAD_FIELDS, *columns])
+        for head, values in rows:
+            writer.writerow([*head, *_cells(values, columns, (head[2],), args.timeline)])
+        means = {m: _corpus_mean([v[m] for _, v in rows if m in v], m) for m in columns}
+        corpus = {m: mean for m, mean in means.items() if mean is not None}
+        writer.writerow(["corpus", "", "", "", "", *_cells(corpus, columns, kinds, args.timeline)])
 
     if args.json:
         report = {
             "sessions": [
-                {
-                    "id": session.id,
-                    "modality": session.modality,
-                    "timeline": session.timeline_kind,
-                    "src_len": session.src_len,
-                    "tgt_len": session.tgt_len,
-                    "metrics": values,
-                }
-                for session, values in rows
+                {**dict(zip(_HEAD_FIELDS, head)), "metrics": values} for head, values in rows
             ],
             "corpus": {"n_sessions": len(rows), "metrics": corpus},
         }
@@ -344,8 +329,7 @@ def cmd_evs(args: argparse.Namespace) -> int:
     alignments = read_alignments(args.alignments)
     if not alignments:
         raise TraceError(f"{args.alignments}: no sentences")
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "n_links", "n_used", "mean_evs"])
         means = []
@@ -360,19 +344,10 @@ def cmd_evs(args: argparse.Namespace) -> int:
                 value = None
             if value is not None:
                 means.append(value)
-            writer.writerow(
-                [
-                    sentence_id,
-                    len(links),
-                    used,
-                    f"{value:.1f}" if value is not None else "",
-                ]
-            )
+            cell = f"{value:.1f}" if value is not None else ""
+            writer.writerow([sentence_id, len(links), used, cell])
         corpus = _corpus_mean(means, "mean_evs")
         writer.writerow(["corpus", "", "", f"{corpus:.1f}" if corpus is not None else ""])
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

@@ -181,9 +181,11 @@ class SubSegmentConfig:
 
 
 def _check_reads(reads: tuple[int, ...], src_len: int, context: str = "") -> None:
-    """Every g in 1..src_len and never decreasing; errors start with ``context``."""
+    """Every g an int in 1..src_len and never decreasing; errors start with ``context``."""
     prev = 0
     for t, g in enumerate(reads, start=1):
+        if type(g) is not int:  # no bool, and no float to truncate
+            raise TraceError(f"{context}g({t}) = {g!r} is not an integer")
         if g < 1 or g > src_len:
             raise TraceError(f"{context}g({t}) = {g} outside 1..{src_len}")
         if g < prev:
@@ -213,7 +215,7 @@ class SessionTrace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "source", TokenSide.of(self.source))
         object.__setattr__(self, "target", TokenSide.of(self.target))
-        object.__setattr__(self, "reads", tuple(map(int, self.reads)))
+        object.__setattr__(self, "reads", tuple(self.reads))
         if self.spans is not None:
             object.__setattr__(self, "spans", tuple(self.spans))
         self._validate()
@@ -239,14 +241,12 @@ class SessionTrace:
                 f"{self.id}: {side_name} token {side.start.index(None) + 1} "
                 "lacks times on a timed session"
             )
-        prev_start = prev_end = None
+        last = prev_start = prev_end = None  # the last timed token's position and times
         for pos, (start, end) in enumerate(zip(side.start, side.end), start=1):
-            if start is not None and prev_start is not None:
-                if start < prev_start or end < prev_end:
-                    raise TraceError(
-                        f"{self.id}: {side_name} tokens {pos - 1},{pos} out of order"
-                    )
-            prev_start, prev_end = start, end
+            if start is not None:
+                if last is not None and (start < prev_start or end < prev_end):
+                    raise TraceError(f"{self.id}: {side_name} tokens {last},{pos} out of order")
+                last, prev_start, prev_end = pos, start, end
 
     @property
     def src_len(self) -> int:

@@ -37,7 +37,7 @@ class StepMetricInput:
     ref_len: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reads", tuple(int(g) for g in self.reads))
+        object.__setattr__(self, "reads", tuple(self.reads))
         if self.src_len < 1:
             raise TraceError(f"src_len must be >= 1, got {self.src_len}")
         if self.tgt_len < 1 or not self.reads:

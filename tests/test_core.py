@@ -103,6 +103,30 @@ def test_session_rejects_out_of_order_times():
         timed_session("bad", [(0, 1000), (500, 900)], [(1000, 1100)], [1])
 
 
+def unit_step_source(*times):
+    return SessionTrace(
+        id="u", modality=TEXT_TO_TEXT, timeline_kind=STEPS,
+        source=tuple(TimedToken(f"x{i}", *t) for i, t in enumerate(times, start=1)),
+        target=(TimedToken("y1"),), reads=(1,),
+    )
+
+
+def test_unit_step_side_is_ordered_across_untimed_tokens():
+    with pytest.raises(TraceError, match=r"^u: source tokens 1,3 out of order$"):
+        unit_step_source((0, 900), (), (100, 200))
+    with pytest.raises(TraceError, match=r"^u: source tokens 1,2 out of order$"):
+        unit_step_source((0, 900), (100, 200))
+    with pytest.raises(TraceError, match=r"^u: source tokens 3,4 out of order$"):
+        unit_step_source((), (0, 900), (900, 950), (100, 200))
+    assert unit_step_source((0, 100), (), (), (100, 200), ()).src_len == 5
+
+
+@pytest.mark.parametrize("g", [1.5, 2.0, True])
+def test_session_refuses_a_read_that_is_not_an_int(g):
+    with pytest.raises(TraceError, match=rf"^s: g\(2\) = {g!r} is not an integer$"):
+        step_session("s", (1, g), 3)
+
+
 # ---------------------------------------------------------------------------
 # subsegment_speech
 # ---------------------------------------------------------------------------
@@ -294,12 +318,12 @@ def test_concat_relative_shifts_by_last_event():
 
 
 def test_concat_relative_shifts_unit_step_times_past_the_latest_end():
-    # a unit-step session's timed tokens are ordered only where adjacent, so
-    # a's last end (200) need not be its latest (900)
+    # a unit-step session's tokens need not all carry times, so a's last end
+    # (200, on the target) need not be its latest (900, on the source)
     a = SessionTrace(
         id="a", modality=TEXT_TO_TEXT, timeline_kind=STEPS,
-        source=(TimedToken("x1", 0, 900), TimedToken("x2"), TimedToken("x3", 100, 200)),
-        target=(TimedToken("y1"),), reads=(3,),
+        source=(TimedToken("x1", 0, 900), TimedToken("x2")),
+        target=(TimedToken("y1", 100, 200),), reads=(2,),
     )
     b = replace(
         a, id="b", source=(TimedToken("z1", 0, 50),), target=(TimedToken("w1", 5, 10),), reads=(1,)
@@ -307,7 +331,7 @@ def test_concat_relative_shifts_unit_step_times_past_the_latest_end():
     joined = concat_sessions(a, b)
     assert joined.source[-1] == TimedToken("z1", 900, 950)
     assert joined.target[-1] == TimedToken("w1", 905, 910)
-    untimed = replace(a, source=(TimedToken("x1"),), reads=(1,))
+    untimed = replace(a, source=(TimedToken("x1"),), target=(TimedToken("y1"),), reads=(1,))
     assert concat_sessions(untimed, b).source[-1] == TimedToken("z1", 0, 50)
 
 

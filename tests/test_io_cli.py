@@ -717,6 +717,21 @@ def test_cli_concat_shifts_the_times_of_unit_step_sessions(tmp_path, capsys):
     assert "a+b: source tokens 2,3 out of order" in capsys.readouterr().err
 
 
+def test_cli_eval_refuses_a_unit_step_side_out_of_order_across_untimed_tokens(tmp_path, capsys):
+    record = {
+        "id": "u", "modality": "text-to-text", "timeline": "steps",
+        "source": [{"text": "x1", "start": 0, "end": 900}, {"text": "x2"},
+                   {"text": "x3", "start": 100, "end": 200}],
+        "target": [{"text": "y1", "g": 3}],
+    }
+    traces = tmp_path / "steps.jsonl"
+    traces.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["eval", str(traces)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "simulatency: error: line 1: u: source tokens 1,3 out of order\n"
+
+
 def test_cli_concat_single_session_is_data_error(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
     write_sessions(str(traces), [gen_wait_k(1, 2, 2)])

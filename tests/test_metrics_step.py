@@ -108,6 +108,12 @@ def test_empty_reads_rejected():
         StepMetricInput(reads=(), src_len=3, tgt_len=0)
 
 
+@pytest.mark.parametrize("g", [1.5, 2.0, True])
+def test_step_input_refuses_a_read_that_is_not_an_int(g):
+    with pytest.raises(TraceError, match=rf"^g\(2\) = {g!r} is not an integer$"):
+        StepMetricInput(reads=(1, g), src_len=3, tgt_len=2)
+
+
 # ---------------------------------------------------------------------------
 # DAL
 # ---------------------------------------------------------------------------

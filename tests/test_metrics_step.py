@@ -250,6 +250,17 @@ def transcribed_dal(reads, m, n):
     return tuple(adjusted), sum(adjusted[t - 1] - (t - 1) / gamma for t in range(1, n + 1)) / n
 
 
+def transcribed_bursts(reads):
+    """The number of read bursts: the steps t whose g(t) exceeds g(t-1), g(0) = 0."""
+    bursts = 0
+    prev = 0
+    for g in reads:
+        if g > prev:
+            bursts += 1
+        prev = g
+    return bursts
+
+
 def unit_clock_session(reads, m):
     """A ca session on the unit clock: source token j spans [j-1, j), every
     target token spans [0, 1), and no computation spans."""
@@ -287,6 +298,9 @@ def assert_kernels_equal_transcribed_formulas(reads, m):
     assert average_lagging(inp, RATIO_LENGTH_ADAPTIVE) == transcribed_al(
         reads, m, n, max(n, m) / m
     )
+    assert cutoff_step(inp) == next((t for t, g in enumerate(reads, start=1) if g == m), n)
+    assert average_proportion(inp) == sum(reads) / (m * n)
+    assert consecutive_wait(inp) == m / transcribed_bursts(reads)
 
 
 def test_kernels_equal_their_transcribed_formulas_exhaustively():

@@ -157,13 +157,14 @@ def _reference_length(reference: str | None, gran: TokenGranularity) -> int | No
 
 
 def _step_input(session: SessionTrace, gran: TokenGranularity) -> StepMetricInput:
-    target, reads = regroup_tokens(
-        session.target, session.reads, gran, chunk_ends_from_reads(session.reads)
-    )
+    reads, tgt_len = session.reads, session.tgt_len  # regrouping words is the identity
+    if gran.unit != WORD:
+        target, reads = regroup_tokens(session.target, reads, gran, chunk_ends_from_reads(reads))
+        tgt_len = len(target)
     return StepMetricInput(
         reads=reads,
         src_len=session.src_len,
-        tgt_len=len(target),
+        tgt_len=tgt_len,
         ref_len=_reference_length(session.reference, gran),
     )
 
@@ -262,6 +263,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     unknown = [m or "''" for m in metrics or () if m not in METRICS]  # '' for an empty entry
     if unknown:
         raise SystemExit(_usage_error(args, f"unknown metrics: {', '.join(unknown)}"))
+    if args.json == "-" and args.output in (None, "-"):
+        raise SystemExit(_usage_error(args, "--json - needs -o FILE: the CSV goes to stdout"))
     gran = TokenGranularity.from_spec(args.granularity)
     subseg = SubSegmentConfig(tau=args.tau)
     sessions = read_sessions(args.traces)
@@ -296,7 +299,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             ],
             "corpus": {"n_sessions": len(rows), "metrics": corpus},
         }
-        with open(args.json, "w", encoding="utf-8") as fp:
+        with _output(args.json) as fp:
             json.dump(report, fp, ensure_ascii=False, indent=2)
             fp.write("\n")
     return EXIT_OK
@@ -442,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--timeline", choices=[CA, NCA, STEPS], help="evaluate on this timeline instead of each record's own")
     p_eval.add_argument("--strict", action="store_true", help="treat warnings as errors")
     p_eval.add_argument("--output", "-o", help="CSV report path (default stdout)")
-    p_eval.add_argument("--json", help="also write a JSON report to this path")
+    p_eval.add_argument("--json", help="also write a JSON report to this path ('-': stdout)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic schedules")

@@ -241,6 +241,8 @@ class SessionTrace:
                 f"{self.id}: {side_name} token {side.start.index(None) + 1} "
                 "lacks times on a timed session"
             )
+        if side.start.count(None) == len(side):  # no timed token to order
+            return
         last = prev_start = prev_end = None  # the last timed token's position and times
         for pos, (start, end) in enumerate(zip(side.start, side.end), start=1):
             if start is not None:

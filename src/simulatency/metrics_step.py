@@ -18,6 +18,8 @@ Conventions shared by the implementations:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub, truediv
 
 from .core import TraceError, _check_reads
 
@@ -38,6 +40,10 @@ class StepMetricInput:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reads", tuple(self.reads))
+        for name in ("src_len", "tgt_len", "ref_len"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name == "ref_len"):
+                raise TraceError(f"{name} = {value!r} is not an integer")  # no bool either
         if self.src_len < 1:
             raise TraceError(f"src_len must be >= 1, got {self.src_len}")
         if self.tgt_len < 1 or not self.reads:
@@ -76,15 +82,14 @@ def cutoff_step(inp: StepMetricInput) -> int:
     Falls back to the target length when the translation finished early
     (g never reaches the source length).
     """
-    for t, g in enumerate(inp.reads, start=1):
-        if g == inp.src_len:
-            return t
-    return inp.tgt_len
+    if inp.reads[-1] != inp.src_len:  # a monotone schedule reaches |x| last if at all
+        return inp.tgt_len
+    return inp.reads.index(inp.src_len) + 1
 
 
 def _lagging(schedule, r: float, cutoff: int) -> float:
     """Mean of schedule(t) minus the ideal diagonal (t-1)/r over t <= cutoff."""
-    return sum(schedule[t] - t / r for t in range(cutoff)) / cutoff
+    return sum(map(sub, schedule, map(truediv, range(cutoff), repeat(r)))) / cutoff
 
 
 def average_lagging(inp: StepMetricInput, ratio_mode: str = RATIO_HYPOTHESIS) -> float:
@@ -97,14 +102,16 @@ def average_lagging(inp: StepMetricInput, ratio_mode: str = RATIO_HYPOTHESIS) ->
     return _lagging(inp.reads, _length_ratio(inp, ratio_mode), cutoff_step(inp))
 
 
-def _serialized_starts(triggers, durations):
+def _serialized_starts(triggers, durations) -> list:
     """Start of each serialized write, no earlier than its trigger or the end of
     the previous write: s(t) = max(trigger(t), s(t-1) + duration(t-1)), from 0."""
+    starts = []
     free = 0.0
     for trigger, duration in zip(triggers, durations):
-        start = max(trigger, free)
-        yield start
+        start = free if free > trigger else trigger  # max(trigger, free), NaN included
+        starts.append(start)
         free = start + duration
+    return starts
 
 
 def dal_adjusted_reads(inp: StepMetricInput) -> tuple[float, ...]:
@@ -114,8 +121,8 @@ def dal_adjusted_reads(inp: StepMetricInput) -> tuple[float, ...]:
     |x|/|y| source tokens, so a long output keeps paying for the time it
     occupies: g'(t) = max(g(t), g'(t-1) + |x|/|y|).
     """
-    steps = [inp.src_len / inp.tgt_len] * inp.tgt_len
-    return tuple(_serialized_starts(map(float, inp.reads), steps))
+    step = inp.src_len / inp.tgt_len
+    return tuple(_serialized_starts(map(float, inp.reads), repeat(step)))
 
 
 def differentiable_average_lagging(inp: StepMetricInput) -> float:
@@ -129,14 +136,12 @@ def average_proportion(inp: StepMetricInput) -> float:
 
 
 def consecutive_wait(inp: StepMetricInput) -> float:
-    """CW: mean length of the consecutive read bursts between writes."""
-    prev = 0
-    bursts = 0
-    for g in inp.reads:
-        if g > prev:
-            bursts += 1
-        prev = g
-    return inp.src_len / bursts
+    """CW: mean length of the consecutive read bursts between writes.
+
+    A burst is a step t with g(t) > g(t-1), g(0) = 0.  The schedule is
+    monotone with every g >= 1, so the bursts are its distinct values.
+    """
+    return inp.src_len / len(set(inp.reads))
 
 
 def corresponding_input_indices(reads: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -149,7 +154,7 @@ def corresponding_input_indices(reads: tuple[int, ...] | list[int]) -> tuple[int
     a = 0
     out: list[int] = []
     for g in reads:
-        a = min(a + 1, g)
+        a = g if g < a + 1 else a + 1  # min(a + 1, g)
         out.append(a)
     return tuple(out)
 
@@ -171,5 +176,5 @@ def atd_steps(inp: StepMetricInput) -> float:
     The metric is the mean of T(y_t) - T(x_a(t)): the wall-clock ATD on a
     clock where every token lasts one step.
     """
-    ends = [s + 1.0 for s in _serialized_starts(inp.reads, [1.0] * inp.tgt_len)]
+    ends = [s + 1.0 for s in _serialized_starts(inp.reads, repeat(1.0))]
     return _token_delay(range(1, inp.src_len + 1), ends, inp.reads)

@@ -247,6 +247,33 @@ def test_cli_eval_json_report(tmp_path, capsys):
     assert payload["corpus"]["n_sessions"] == 1
 
 
+def test_cli_eval_json_dash_prints_the_json_report_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    traces = str(FIXTURES / "mixed_traces.jsonl")
+    assert main(["eval", traces, "--json", "report.json", "-o", "a.csv"]) == 0
+    capsys.readouterr()
+    assert main(["eval", traces, "--json", "-", "-o", "b.csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (tmp_path / "report.json").read_bytes()
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("csv_out", [[], ["-o", "-"]])
+def test_cli_eval_json_dash_with_the_csv_on_stdout_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, csv_out
+):
+    monkeypatch.chdir(tmp_path)
+    code = main(["eval", "missing.jsonl", "--json", "-", *csv_out])  # the error comes first
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "simulatency eval: error: --json - needs -o FILE: the CSV goes to stdout\n"
+    )
+    assert not (tmp_path / "-").exists()
+
+
 def test_cli_eval_char_granularity(tmp_path, capsys):
     # 5-character target in one chunk; reference of 4 characters
     record = {

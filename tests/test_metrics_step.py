@@ -114,6 +114,21 @@ def test_step_input_refuses_a_read_that_is_not_an_int(g):
         StepMetricInput(reads=(1, g), src_len=3, tgt_len=2)
 
 
+def test_step_input_refuses_a_fractional_source_length_and_a_boolean_reference_length():
+    with pytest.raises(TraceError, match=r"^src_len = 2.5 is not an integer$"):
+        StepMetricInput(reads=(1, 2), src_len=2.5, tgt_len=2, ref_len=True)
+    with pytest.raises(TraceError, match=r"^ref_len = True is not an integer$"):
+        StepMetricInput(reads=(1, 2), src_len=2, tgt_len=2, ref_len=True)
+
+
+@pytest.mark.parametrize("field", ["src_len", "tgt_len", "ref_len"])
+@pytest.mark.parametrize("value", [2.0, False, "2"])
+def test_step_input_refuses_a_length_that_is_not_an_int(field, value):
+    lengths = {"src_len": 2, "tgt_len": 2, "ref_len": 2, field: value}
+    with pytest.raises(TraceError, match=rf"^{field} = {value!r} is not an integer$"):
+        StepMetricInput(reads=(1, 2), **lengths)
+
+
 # ---------------------------------------------------------------------------
 # DAL
 # ---------------------------------------------------------------------------

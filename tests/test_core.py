@@ -127,6 +127,41 @@ def test_session_refuses_a_read_that_is_not_an_int(g):
         step_session("s", (1, g), 3)
 
 
+def full_session(**fields):
+    """A valid speech-to-speech nca session with ``fields`` replaced."""
+    base = dict(
+        id="s", modality=SPEECH_TO_SPEECH, timeline_kind="nca",
+        source=(TimedToken(start=0, end=100), TimedToken(start=100, end=200),
+                TimedToken(start=200, end=300)),
+        target=(TimedToken(start=300, end=400), TimedToken(start=400, end=500)),
+        reads=(1, 3),
+    )
+    return SessionTrace(**{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"modality": "bogus"}, "s: unknown modality 'bogus'"),
+        ({"timeline_kind": "bogus"}, "s: unknown timeline 'bogus'"),
+        ({"reads": (1,)}, "s: 1 reads for 2 target tokens"),
+        ({"source": ()}, "s: target tokens without source tokens"),
+        ({"source": (TimedToken(start=0, end=100), TimedToken())},
+         "s: source token 2 lacks times on a timed session"),
+        ({"reads": (0, 1)}, "s: g(1) = 0 outside 1..3"),
+        ({"reads": (1, 4)}, "s: g(2) = 4 outside 1..3"),
+        ({"reads": (3, 2)}, "s: reads not monotone at position 2"),
+        ({"reads": (1, 2.0)}, "s: g(2) = 2.0 is not an integer"),
+        ({"target": (TimedToken(start=300, end=400), TimedToken(start=200, end=500))},
+         "s: target tokens 1,2 out of order"),
+    ],
+)
+def test_session_errors_name_the_session_once(fields, message):
+    with pytest.raises(TraceError) as info:
+        full_session(**fields)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # subsegment_speech
 # ---------------------------------------------------------------------------

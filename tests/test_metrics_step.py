@@ -129,6 +129,24 @@ def test_step_input_refuses_a_length_that_is_not_an_int(field, value):
         StepMetricInput(reads=(1, 2), **lengths)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"src_len": 0}, "src_len must be >= 1, got 0"),
+        ({"reads": (), "tgt_len": 0}, "empty reads: nothing was translated"),
+        ({"tgt_len": 3}, "2 reads for tgt_len 3"),
+        ({"reads": (0, 1)}, "g(1) = 0 outside 1..3"),
+        ({"reads": (1, 4)}, "g(2) = 4 outside 1..3"),
+        ({"reads": (3, 2)}, "reads not monotone at position 2"),
+        ({"ref_len": 0}, "ref_len must be >= 1, got 0"),
+    ],
+)
+def test_step_input_error_texts(fields, message):
+    with pytest.raises(TraceError) as info:
+        StepMetricInput(**{"reads": (1, 3), "src_len": 3, "tgt_len": 2, **fields})
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # DAL
 # ---------------------------------------------------------------------------

@@ -222,8 +222,7 @@ def _eval_session(
                 if timed is None:
                     timed = _prepare_timed(session, timeline)
                 if isinstance(timed, str):
-                    logger.warning("%s: skipping %s (%s)", session.id, name, timed)
-                    continue
+                    raise TraceError(timed)
                 value = METRICS[name][1](timed, subseg)
             if not math.isfinite(value):  # times near the float range overflow
                 raise TraceError(f"value {value} is not finite")

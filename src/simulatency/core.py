@@ -180,16 +180,16 @@ class SubSegmentConfig:
             raise ValueError(f"tau must be finite, got {self.tau}")
 
 
-def _check_reads(reads: tuple[int, ...], src_len: int, context: str = "") -> None:
-    """Every g an int in 1..src_len and never decreasing; errors start with ``context``."""
+def _check_reads(reads: tuple[int, ...], src_len: int) -> None:
+    """Every g an int in 1..src_len and never decreasing."""
     prev = 0
     for t, g in enumerate(reads, start=1):
         if type(g) is not int:  # no bool, and no float to truncate
-            raise TraceError(f"{context}g({t}) = {g!r} is not an integer")
+            raise TraceError(f"g({t}) = {g!r} is not an integer")
         if g < 1 or g > src_len:
-            raise TraceError(f"{context}g({t}) = {g} outside 1..{src_len}")
+            raise TraceError(f"g({t}) = {g} outside 1..{src_len}")
         if g < prev:
-            raise TraceError(f"{context}reads not monotone at position {t}")
+            raise TraceError(f"reads not monotone at position {t}")
         prev = g
 
 
@@ -218,36 +218,35 @@ class SessionTrace:
         object.__setattr__(self, "reads", tuple(self.reads))
         if self.spans is not None:
             object.__setattr__(self, "spans", tuple(self.spans))
-        self._validate()
+        try:
+            self._validate()
+        except TraceError as exc:
+            raise TraceError(f"{self.id}: {exc}") from None
 
     def _validate(self) -> None:
         if self.modality not in MODALITIES:
-            raise TraceError(f"{self.id}: unknown modality {self.modality!r}")
+            raise TraceError(f"unknown modality {self.modality!r}")
         if self.timeline_kind not in TIMELINES:
-            raise TraceError(f"{self.id}: unknown timeline {self.timeline_kind!r}")
+            raise TraceError(f"unknown timeline {self.timeline_kind!r}")
         if len(self.reads) != len(self.target):
-            raise TraceError(
-                f"{self.id}: {len(self.reads)} reads for {len(self.target)} target tokens"
-            )
+            raise TraceError(f"{len(self.reads)} reads for {len(self.target)} target tokens")
         if self.target and not self.source:
-            raise TraceError(f"{self.id}: target tokens without source tokens")
+            raise TraceError("target tokens without source tokens")
         for side_name, side in (("source", self.source), ("target", self.target)):
             self._validate_side(side_name, side)
-        _check_reads(self.reads, len(self.source), f"{self.id}: ")
+        _check_reads(self.reads, len(self.source))
 
     def _validate_side(self, side_name: str, side: TokenSide) -> None:
         if self.timeline_kind != STEPS and None in side.start:
-            raise TraceError(
-                f"{self.id}: {side_name} token {side.start.index(None) + 1} "
-                "lacks times on a timed session"
-            )
+            pos = side.start.index(None) + 1
+            raise TraceError(f"{side_name} token {pos} lacks times on a timed session")
         if side.start.count(None) == len(side):  # no timed token to order
             return
         last = prev_start = prev_end = None  # the last timed token's position and times
         for pos, (start, end) in enumerate(zip(side.start, side.end), start=1):
             if start is not None:
                 if last is not None and (start < prev_start or end < prev_end):
-                    raise TraceError(f"{self.id}: {side_name} tokens {last},{pos} out of order")
+                    raise TraceError(f"{side_name} tokens {last},{pos} out of order")
                 last, prev_start, prev_end = pos, start, end
 
     @property

@@ -43,68 +43,66 @@ def _context(lineno: int | None) -> str:
     return f"line {lineno}: " if lineno is not None else ""
 
 
-def _require(obj: dict, key: str, lineno: int | None):
+def _require(obj: dict, key: str):
     if key not in obj:
-        raise TraceFormatError(f"{_context(lineno)}missing field {key!r}")
+        raise TraceFormatError(f"missing field {key!r}")
     return obj[key]
 
 
-def _int_ms(value, what: str, lineno: int | None) -> float:
+def _int_ms(value, what: str) -> float:
     if type(value) is int and value >= 0:
         try:
             return float(value)
         except OverflowError:  # more than 308 digits
-            raise TraceFormatError(f"{_context(lineno)}{what} is too large") from None
+            raise TraceFormatError(f"{what} is too large") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TraceFormatError(f"{_context(lineno)}{what} must be a number, got {value!r}")
+        raise TraceFormatError(f"{what} must be a number, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
-        raise TraceFormatError(f"{_context(lineno)}{what} must be integer milliseconds")
+        raise TraceFormatError(f"{what} must be integer milliseconds")
     if value < 0:
-        raise TraceFormatError(f"{_context(lineno)}{what} must be non-negative")
+        raise TraceFormatError(f"{what} must be non-negative")
     return float(value)
 
 
-def _require_list(obj: dict, key: str, lineno: int | None) -> list:
-    value = _require(obj, key, lineno)
+def _require_list(obj: dict, key: str) -> list:
+    value = _require(obj, key)
     if not isinstance(value, list):
-        raise TraceFormatError(f"{_context(lineno)}{key} must be a JSON array")
+        raise TraceFormatError(f"{key} must be a JSON array")
     return value
 
 
-def _int_index(value, what: str, lineno: int | None) -> int:
+def _int_index(value, what: str) -> int:
     """An integer, or an integer-valued float; never a bool (as in ``_int_ms``)."""
     if type(value) is int:
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise TraceFormatError(f"{_context(lineno)}{what} must be an integer, got {value!r}")
+    raise TraceFormatError(f"{what} must be an integer, got {value!r}")
 
 
-def _parse_side(
-    record: dict, what: str, timed: bool, lineno: int | None, reads: list[int] | None = None
-) -> TokenSide:
+def _parse_side(record: dict, what: str, timed: bool, reads: list[int] | None = None) -> TokenSide:
     """The ``what`` entries of a record as columns; with ``reads``, each
     entry's ``g`` is appended to it."""
     texts, starts, ends = [], [], []
-    for pos, obj in enumerate(_require_list(record, what, lineno), start=1):
+    for pos, obj in enumerate(_require_list(record, what), start=1):
         if not isinstance(obj, dict):
-            raise TraceFormatError(f"{_context(lineno)}{what} entry must be an object")
+            raise TraceFormatError(f"{what} entry must be an object")
         text = obj.get("text")
         if text is not None and not isinstance(text, str):
-            raise TraceFormatError(f"{_context(lineno)}{what} text must be a string")
+            raise TraceFormatError(f"{what} text must be a string")
         start = obj.get("start")
         end = obj.get("end")
         if timed or (start is not None or end is not None):
-            start = _int_ms(_require(obj, "start", lineno) if timed else start, f"{what} start", lineno)
-            end = _int_ms(_require(obj, "end", lineno) if timed else end, f"{what} end", lineno)
+            start = _int_ms(_require(obj, "start") if timed else start, f"{what} start")
+            end = _int_ms(_require(obj, "end") if timed else end, f"{what} end")
             try:
                 _check_times(start, end)
             except TraceError as exc:
-                raise TraceFormatError(f"{_context(lineno)}{what} token {pos}: {exc}") from exc
+                raise TraceFormatError(f"{what} token {pos}: {exc}") from exc
         if reads is not None:
-            g = _require(obj, "g", lineno)
+            g = _require(obj, "g")
             if isinstance(g, bool) or not isinstance(g, int):
-                raise TraceFormatError(f"{_context(lineno)}target g must be an integer")
+                raise TraceFormatError("target g must be an integer")
             reads.append(g)
         texts.append(text)
         starts.append(start)
@@ -112,46 +110,47 @@ def _parse_side(
     return TokenSide(tuple(texts), tuple(starts), tuple(ends))
 
 
-def _parse_span(obj, lineno: int | None) -> ComputationSpan:
+def _parse_span(obj) -> ComputationSpan:
     if not isinstance(obj, dict):
-        raise TraceFormatError(f"{_context(lineno)}spans entry must be an object")
+        raise TraceFormatError("spans entry must be an object")
     kind = str(obj.get("kind", "compute"))
-    start = _int_ms(_require(obj, "start", lineno), "span start", lineno)
-    end = _int_ms(_require(obj, "end", lineno), "span end", lineno)
-    try:
-        return ComputationSpan(kind, start, end)
-    except TraceError as exc:
-        raise TraceFormatError(f"{_context(lineno)}{exc}") from exc
+    start = _int_ms(_require(obj, "start"), "span start")
+    end = _int_ms(_require(obj, "end"), "span end")
+    return ComputationSpan(kind, start, end)
+
+
+def _record_id(record) -> str:
+    """The id of a decoded trace or alignment record, which must be an object."""
+    if not isinstance(record, dict):
+        raise TraceFormatError("record must be a JSON object")
+    record_id = _require(record, "id")
+    if not isinstance(record_id, str) or not record_id:
+        raise TraceFormatError("id must be a non-empty string")
+    return record_id
 
 
 def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
     """Build a validated session from one decoded trace record."""
-    if not isinstance(record, dict):
-        raise TraceFormatError(f"{_context(lineno)}record must be a JSON object")
-    session_id = _require(record, "id", lineno)
-    if not isinstance(session_id, str) or not session_id:
-        raise TraceFormatError(f"{_context(lineno)}id must be a non-empty string")
-    modality = _require(record, "modality", lineno)
-    timeline = _require(record, "timeline", lineno)
-    if timeline not in TIMELINES:
-        raise TraceFormatError(f"{_context(lineno)}unknown timeline {timeline!r}")
-    timed = timeline != STEPS
-
-    source = _parse_side(record, "source", timed, lineno)
-    reads: list[int] = []
-    target = _parse_side(record, "target", timed, lineno, reads)
-
-    reference = record.get("reference")
-    if reference is not None and not isinstance(reference, str):
-        raise TraceFormatError(f"{_context(lineno)}reference must be a string")
-
-    spans = None
-    if "spans" in record:
-        spans = tuple(
-            _parse_span(obj, lineno) for obj in _require_list(record, "spans", lineno)
-        )
-
     try:
+        session_id = _record_id(record)
+        modality = _require(record, "modality")
+        timeline = _require(record, "timeline")
+        if timeline not in TIMELINES:
+            raise TraceFormatError(f"unknown timeline {timeline!r}")
+        timed = timeline != STEPS
+
+        source = _parse_side(record, "source", timed)
+        reads: list[int] = []
+        target = _parse_side(record, "target", timed, reads)
+
+        reference = record.get("reference")
+        if reference is not None and not isinstance(reference, str):
+            raise TraceFormatError("reference must be a string")
+
+        spans = None
+        if "spans" in record:
+            spans = tuple(_parse_span(obj) for obj in _require_list(record, "spans"))
+
         return SessionTrace(
             id=session_id,
             modality=modality,
@@ -273,27 +272,23 @@ def write_sessions(path: str, sessions: Iterable[SessionTrace]) -> None:
 
 
 def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, AlignmentLinks]:
-    if not isinstance(record, dict):
-        raise TraceFormatError(f"{_context(lineno)}record must be a JSON object")
-    sentence_id = _require(record, "id", lineno)
-    if not isinstance(sentence_id, str) or not sentence_id:
-        raise TraceFormatError(f"{_context(lineno)}id must be a non-empty string")
-    rows = []
-    for obj in _require_list(record, "links", lineno):
-        if not isinstance(obj, dict):
-            raise TraceFormatError(f"{_context(lineno)}links entry must be an object")
-        verified = obj.get("verified", False)
-        if not isinstance(verified, bool):
-            raise TraceFormatError(f"{_context(lineno)}verified must be a boolean")
-        src = _int_index(_require(obj, "src", lineno), "src", lineno)
-        tgt = _int_index(_require(obj, "tgt", lineno), "tgt", lineno)
-        src_start = _int_ms(_require(obj, "src_start", lineno), "src_start", lineno)
-        tgt_start = _int_ms(_require(obj, "tgt_start", lineno), "tgt_start", lineno)
-        try:
+    try:
+        sentence_id = _record_id(record)
+        rows = []
+        for obj in _require_list(record, "links"):
+            if not isinstance(obj, dict):
+                raise TraceFormatError("links entry must be an object")
+            verified = obj.get("verified", False)
+            if not isinstance(verified, bool):
+                raise TraceFormatError("verified must be a boolean")
+            src = _int_index(_require(obj, "src"), "src")
+            tgt = _int_index(_require(obj, "tgt"), "tgt")
+            src_start = _int_ms(_require(obj, "src_start"), "src_start")
+            tgt_start = _int_ms(_require(obj, "tgt_start"), "tgt_start")
             _check_link(src, tgt, src_start, tgt_start)
-        except TraceError as exc:
-            raise TraceFormatError(f"{_context(lineno)}{exc}") from exc
-        rows.append((src, tgt, src_start, tgt_start, verified))
+            rows.append((src, tgt, src_start, tgt_start, verified))
+    except TraceError as exc:
+        raise TraceFormatError(f"{_context(lineno)}{exc}") from exc
     return sentence_id, AlignmentLinks(tuple(rows))
 
 

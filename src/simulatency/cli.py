@@ -17,6 +17,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -133,6 +134,14 @@ def _output(path: str | None):
     else:
         with open(path, "w", encoding="utf-8", newline="") as out:
             yield out
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: by inode when both exist,
+    else by their normalised absolute paths."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.abspath(a) == os.path.abspath(b)
 
 
 def _write_records(path: str | None, sessions: list[SessionTrace]) -> None:
@@ -264,6 +273,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise SystemExit(_usage_error(args, f"unknown metrics: {', '.join(unknown)}"))
     if args.json == "-" and args.output in (None, "-"):
         raise SystemExit(_usage_error(args, "--json - needs -o FILE: the CSV goes to stdout"))
+    if args.json not in (None, "-") and args.output not in (None, "-"):
+        if _same_file(args.output, args.json):
+            raise SystemExit(_usage_error(args, "-o and --json name the same file"))
     gran = TokenGranularity.from_spec(args.granularity)
     subseg = SubSegmentConfig(tau=args.tau)
     sessions = read_sessions(args.traces)
@@ -357,20 +369,22 @@ def cmd_evs(args: argparse.Namespace) -> int:
 # correlate
 # ---------------------------------------------------------------------------
 
-def _read_csv_columns(path: str) -> list[dict]:
+def _read_csv_columns(path: str) -> tuple[list[str], list[dict]]:
+    """The header of a CSV report and its rows but the corpus row."""
     reader = csv.DictReader(line for _, line in read_lines(path))
     try:
-        return [row for row in reader if row.get("id") != "corpus"]
+        return reader.fieldnames or [], [row for row in reader if row.get("id") != "corpus"]
     except csv.Error as exc:
         raise TraceFormatError(f"line {reader.reader.line_num}: {exc}") from None
 
 
-def _rows_by_id(path: str) -> dict[str | None, dict]:
-    rows: dict[str | None, dict] = {}
-    for row in _read_csv_columns(path):
-        if rows.setdefault(row.get("id"), row) is not row:
+def _rows_by_id(path: str) -> tuple[list[str], dict[str | None, dict]]:
+    columns, rows = _read_csv_columns(path)
+    by_id: dict[str | None, dict] = {}
+    for row in rows:
+        if by_id.setdefault(row.get("id"), row) is not row:
             raise TraceError(f"{path}: duplicate id {row.get('id')!r}")
-    return rows
+    return columns, by_id
 
 
 def _as_float(text: str | None) -> float | None:
@@ -383,19 +397,25 @@ def _as_float(text: str | None) -> float | None:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    joined_columns: list[str] = []
     if args.join:  # a repeated id would leave the join ambiguous
-        joined = _rows_by_id(args.join)
-        rows = [
-            {**row, **joined[key]} for key, row in _rows_by_id(args.report).items() if key in joined
-        ]
+        columns, report = _rows_by_id(args.report)
+        joined_columns, joined = _rows_by_id(args.join)
+        rows = [{**row, **joined[key]} for key, row in report.items() if key in joined]
     else:
-        rows = _read_csv_columns(args.report)
+        columns, rows = _read_csv_columns(args.report)
+    for name in (args.col_a, args.col_b):
+        if name in columns and name in joined_columns:  # a joined row holds one value of it
+            raise TraceError(f"column {name!r} is in both {args.report} and {args.join}")
+        if name not in columns and name not in joined_columns:
+            files = f"{args.report} or {args.join}" if args.join else args.report
+            raise TraceError(f"no column {name!r} in {files}")
     col_a = [_as_float(row.get(args.col_a)) for row in rows]
     col_b = [_as_float(row.get(args.col_b)) for row in rows]
     result = spearman(col_a, col_b)
     print(f"rho={result.rho:.6f} p={result.pvalue:.6f} n={result.n}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fp:
+        with _output(args.output) as fp:
             writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(["col_a", "col_b", "rho", "p", "n"])
             writer.writerow(

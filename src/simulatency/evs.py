@@ -97,13 +97,19 @@ class AlignmentLinks(Sequence):
 
 
 def dedupe_pairs(pairs: Iterable[AlignedPair]) -> tuple[AlignmentLinks, int]:
-    """Drop exact duplicate links, returning (unique links, duplicate count).
+    """Drop duplicate links, returning (unique links, duplicate count).
 
-    The first of equal links is kept; links are equal when all five fields are.
+    Links are duplicates when their indices and start times are equal,
+    whatever their ``verified`` flags.  The first of them is kept, verified
+    if any of them is.
     """
     links = AlignmentLinks.of(pairs)
-    unique = AlignmentLinks(tuple(dict.fromkeys(links.rows)))
-    return unique, len(links) - len(unique)
+    kept: dict[tuple, tuple] = {}  # (src, tgt, src_start, tgt_start) -> row
+    for row in links.rows:
+        first = kept.setdefault(row[:4], row)
+        if row[4] and not first[4]:
+            kept[row[:4]] = first[:4] + (True,)
+    return AlignmentLinks(tuple(kept.values())), len(links) - len(kept)
 
 
 def mean_evs(pairs: Iterable[AlignedPair], mode: str = VERIFIED_ONLY) -> float | None:

@@ -86,3 +86,16 @@ def test_bad_indices_rejected():
         AlignedPair(0, 1, 0, 1)
     with pytest.raises(TraceError):
         AlignedPair(1, 1, -5, 1)
+
+
+@pytest.mark.parametrize("flags", [(True, False), (False, True), (False, False)])
+def test_dedupe_keys_links_on_indices_and_times_not_the_verified_flag(flags):
+    # one link listed twice with different flags, then a distinct link
+    pairs = [AlignedPair(1, 2, 0, 950, flag) for flag in flags]
+    pairs.append(AlignedPair(2, 1, 300, 1000, True))
+    unique, dupes = dedupe_pairs(pairs)
+    assert dupes == 1
+    assert unique == (AlignedPair(1, 2, 0, 950, any(flags)), pairs[-1])
+    assert mean_evs(pairs, AUTOMATIC) == 825.0
+    assert mean_evs(pairs, VERIFIED_ONLY) == (825.0 if any(flags) else 700.0)
+

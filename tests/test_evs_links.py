@@ -5,10 +5,12 @@
 included, the links, a slice of them, and the links that
 ``record_to_alignment`` parses from the same pairs written as a record must
 be indistinguishable from a tuple of pairs, and ``dedupe_pairs`` and
-``mean_evs`` must give, bit for bit, what a set-based first-occurrence dedupe
-over the dataclasses and a plain ``sum(p.span for p in selected) /
+``mean_evs`` must give, bit for bit, what a literal first-occurrence dedupe
+on indices and start times and a plain ``sum(p.span for p in selected) /
 len(selected)`` give.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,21 +31,25 @@ slice_bounds = st.none() | st.integers(-20, 20)
 
 @st.composite
 def link_lists(draw, times):
-    """Pairs drawn with repetition from a small pool, so duplicates are common."""
+    """Pairs drawn with repetition from a small pool, so duplicates, also with
+    opposite ``verified`` flags, are common."""
     pair = st.builds(AlignedPair, st.integers(1, 4), st.integers(1, 4), times, times, st.booleans())
     pool = draw(st.lists(pair, min_size=1, max_size=6))
     pool += [AlignedPair(p.src_index, p.tgt_index, float(p.src_start), p.tgt_start, p.verified)
              for p in pool]
+    pool += [replace(p, verified=not p.verified) for p in pool]  # duplicates by their fields
     return draw(st.lists(st.sampled_from(pool), max_size=16))
 
 
 def oracle_unique(pairs):
-    seen, unique = set(), []
-    for pair in pairs:
-        if pair not in seen:
-            seen.add(pair)
-            unique.append(pair)
-    return tuple(unique)
+    """The first link of each (src, tgt, src_start, tgt_start), verified if any
+    link with those fields is."""
+    keys = [(p.src_index, p.tgt_index, p.src_start, p.tgt_start) for p in pairs]
+    return tuple(
+        replace(pair, verified=any(p.verified for p, k in zip(pairs, keys) if k == key))
+        for i, (pair, key) in enumerate(zip(pairs, keys))
+        if key not in keys[:i]
+    )
 
 
 def oracle_select(pairs, mode):

@@ -259,6 +259,24 @@ def test_cli_eval_json_dash_prints_the_json_report_to_stdout(tmp_path, capsys, m
     assert not (tmp_path / "-").exists()
 
 
+@pytest.mark.parametrize("json_path", ["r.out", "./r.out", "sub/../r.out", "linked.out"])
+def test_cli_eval_refuses_one_file_for_csv_and_json(tmp_path, capsys, monkeypatch, json_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    if json_path == "linked.out":  # two names of one existing file
+        (tmp_path / "r.out").write_text("kept\n")
+        (tmp_path / "linked.out").hardlink_to(tmp_path / "r.out")
+    traces = str(FIXTURES / "contrast_traces.jsonl")
+    assert main(["eval", traces, "-o", "r.out", "--json", json_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "simulatency eval: error: -o and --json name the same file\n"
+    if json_path == "linked.out":
+        assert (tmp_path / "r.out").read_text() == "kept\n"
+    else:
+        assert not (tmp_path / "r.out").exists()
+
+
 @pytest.mark.parametrize("csv_out", [[], ["-o", "-"]])
 def test_cli_eval_json_dash_with_the_csv_on_stdout_is_a_usage_error(
     tmp_path, capsys, monkeypatch, csv_out
@@ -670,6 +688,51 @@ def test_cli_correlate_join_rejects_a_repeated_id(tmp_path, capsys, repeated_in)
     assert f"{paths[repeated_in]}: duplicate id 's2'" in capsys.readouterr().err
 
 
+def test_cli_correlate_refuses_a_column_both_joined_reports_carry(tmp_path, capsys):
+    # atd rises with k; the copy gives each id the atd of the id in reverse order
+    sessions = tmp_path / "waitk.jsonl"
+    assert main(["simulate", "--strategy", "wait-k", "--k", "1..6", "-o", str(sessions)]) == 0
+    report, reversed_report = tmp_path / "report.csv", tmp_path / "reversed.csv"
+    assert main(["eval", str(sessions), "--metrics", "atd", "-o", str(report)]) == 0
+    rows = read_csv(report.read_text())[:-1]
+    ids = [row["id"] for row in rows][::-1]
+    write_report(reversed_report, [[i, row["atd"]] for i, row in zip(ids, rows)], ["id", "atd"])
+    capsys.readouterr()
+    code = main(["correlate", str(report), "--join", str(reversed_report),
+                 "--col-a", "atd", "--col-b", "atd"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"simulatency: error: column 'atd' is in both {report} and {reversed_report}\n"
+    )
+
+
+@pytest.mark.parametrize("join", [False, True])
+def test_cli_correlate_names_a_column_missing_from_the_header(tmp_path, capsys, join):
+    path, other = tmp_path / "report.csv", tmp_path / "evs.csv"
+    write_report(path, [[f"s{i}", i] for i in range(1, 6)], ["id", "atd"])
+    write_report(other, [[f"s{i}", i] for i in range(1, 6)], ["id", "mean_evs"])
+    argv = ["correlate", str(path), "--col-a", "atdd", "--col-b", "mean_evs"]
+    files = str(path)
+    if join:
+        argv += ["--join", str(other)]
+        files = f"{path} or {other}"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"simulatency: error: no column 'atdd' in {files}\n"
+
+
+def test_cli_correlate_output_dash_writes_the_csv_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_report(tmp_path / "report.csv", [[f"s{i}", i, i] for i in range(1, 6)], ["id", "a", "b"])
+    argv = ["correlate", "report.csv", "--col-a", "a", "--col-b", "b"]
+    assert main([*argv, "-o", "result.csv"]) == 0
+    line = capsys.readouterr().out
+    assert line == "rho=1.000000 p=0.016667 n=5\n"
+    assert main([*argv, "-o", "-"]) == 0
+    assert capsys.readouterr().out == line + (tmp_path / "result.csv").read_text()
+    assert not (tmp_path / "-").exists()
+
+
 def test_cli_correlate_excludes_corpus_row_and_absent_cells(tmp_path, capsys):
     path = tmp_path / "report.csv"
     write_report(
@@ -867,6 +930,9 @@ EXIT_CODES = [
     ("repeated session id, concat", ["concat", "{repeated_id}"], 2, "line 2: duplicate id"),
     ("repeated sentence id", ["evs", "{repeated_sentence}"], 2, "line 2: duplicate id 'a1'"),
     ("StatsError", ["correlate", "{short}", *CORRELATE_AB], 2, "insufficient samples"),
+    ("-o and --json naming one file, before the file is read",
+     ["eval", "{missing}", "-o", "{short}", "--json", "{short}"], 1,
+     "-o and --json name the same file"),
 ]
 
 

@@ -96,20 +96,28 @@ class AlignmentLinks(Sequence):
         return AlignmentLinks(tuple([row for row in self.rows if row[-1]]))  # a list builds faster
 
 
+class _UniqueLinks(AlignmentLinks):
+    """Links that ``dedupe_pairs`` returned, so hold no duplicates."""
+
+    __slots__ = ()
+
+
 def dedupe_pairs(pairs: Iterable[AlignedPair]) -> tuple[AlignmentLinks, int]:
     """Drop duplicate links, returning (unique links, duplicate count).
 
     Links are duplicates when their indices and start times are equal,
     whatever their ``verified`` flags.  The first of them is kept, verified
-    if any of them is.
+    if any of them is.  Its own output is given back as it is, with 0.
     """
+    if isinstance(pairs, _UniqueLinks):
+        return pairs, 0
     links = AlignmentLinks.of(pairs)
     kept: dict[tuple, tuple] = {}  # (src, tgt, src_start, tgt_start) -> row
     for row in links.rows:
         first = kept.setdefault(row[:4], row)
         if row[4] and not first[4]:
             kept[row[:4]] = first[:4] + (True,)
-    return AlignmentLinks(tuple(kept.values())), len(links) - len(kept)
+    return _UniqueLinks(tuple(kept.values())), len(links) - len(kept)
 
 
 def mean_evs(pairs: Iterable[AlignedPair], mode: str = VERIFIED_ONLY) -> float | None:

@@ -21,6 +21,7 @@ word-alignment links::
 from __future__ import annotations
 
 import json
+from operator import le
 from typing import Iterable, Iterator
 
 from .core import (
@@ -80,11 +81,47 @@ def _int_index(value, what: str) -> int:
     raise TraceFormatError(f"{what} must be an integer, got {value!r}")
 
 
-def _parse_side(record: dict, what: str, timed: bool, reads: list[int] | None = None) -> TokenSide:
-    """The ``what`` entries of a record as columns; with ``reads``, each
-    entry's ``g`` is appended to it."""
-    texts, starts, ends = [], [], []
-    for pos, obj in enumerate(_require_list(record, what), start=1):
+def _int_column(objs: list, key: str, ms: bool = False) -> list | tuple | None:
+    """Each entry's ``obj[key]`` if all are exactly ``int`` (float ms if ``ms``), else None."""
+    try:
+        column = [obj[key] for obj in objs]
+        if set(map(type, column)) == {int}:
+            return tuple(map(float, column)) if ms else column
+    except (KeyError, TypeError, OverflowError):  # OverflowError: more than 308 digits
+        pass
+    return None
+
+
+def _side_columns(objs: list, timed: bool, with_reads: bool) -> tuple[TokenSide, list] | None:
+    """``_parse_side`` by columns: str or no text, plain-int ``g``, and
+    plain-int times with ``0 <= start <= end`` if ``timed``, else none."""
+    if set(map(type, objs)) != {dict}:
+        return None
+    reads = _int_column(objs, "g") if with_reads else []
+    texts = [obj.get("text") for obj in objs]
+    if reads is None or not set(map(type, texts)) <= {str, type(None)}:
+        return None
+    if not timed:
+        times = [obj.get("start") for obj in objs] + [obj.get("end") for obj in objs]
+        if times.count(None) != len(times):
+            return None
+        untimed = (None,) * len(objs)
+        return TokenSide(tuple(texts), untimed, untimed), reads
+    starts, ends = _int_column(objs, "start", ms=True), _int_column(objs, "end", ms=True)
+    if starts is None or ends is None or min(starts) < 0 or not all(map(le, starts, ends)):
+        return None
+    return TokenSide(tuple(texts), starts, ends), reads
+
+
+def _parse_side(record: dict, what: str, timed: bool, with_reads=False) -> tuple[TokenSide, list]:
+    """The ``what`` entries of a record as columns, and each ``g`` if
+    ``with_reads``; read one by one, which names a fault, if not by columns."""
+    objs = _require_list(record, what)
+    columns = _side_columns(objs, timed, with_reads)
+    if columns is not None:
+        return columns
+    texts, starts, ends, reads = [], [], [], []
+    for pos, obj in enumerate(objs, start=1):
         if not isinstance(obj, dict):
             raise TraceFormatError(f"{what} entry must be an object")
         text = obj.get("text")
@@ -99,7 +136,7 @@ def _parse_side(record: dict, what: str, timed: bool, reads: list[int] | None = 
                 _check_times(start, end)
             except TraceError as exc:
                 raise TraceFormatError(f"{what} token {pos}: {exc}") from exc
-        if reads is not None:
+        if with_reads:
             g = _require(obj, "g")
             if isinstance(g, bool) or not isinstance(g, int):
                 raise TraceFormatError("target g must be an integer")
@@ -107,7 +144,7 @@ def _parse_side(record: dict, what: str, timed: bool, reads: list[int] | None = 
         texts.append(text)
         starts.append(start)
         ends.append(end)
-    return TokenSide(tuple(texts), tuple(starts), tuple(ends))
+    return TokenSide(tuple(texts), tuple(starts), tuple(ends)), reads
 
 
 def _parse_span(obj) -> ComputationSpan:
@@ -139,9 +176,8 @@ def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
             raise TraceFormatError(f"unknown timeline {timeline!r}")
         timed = timeline != STEPS
 
-        source = _parse_side(record, "source", timed)
-        reads: list[int] = []
-        target = _parse_side(record, "target", timed, reads)
+        source, _ = _parse_side(record, "source", timed)
+        target, reads = _parse_side(record, "target", timed, with_reads=True)
 
         reference = record.get("reference")
         if reference is not None and not isinstance(reference, str):
@@ -274,22 +310,38 @@ def write_sessions(path: str, sessions: Iterable[SessionTrace]) -> None:
 def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, AlignmentLinks]:
     try:
         sentence_id = _record_id(record)
-        rows = []
-        for obj in _require_list(record, "links"):
-            if not isinstance(obj, dict):
-                raise TraceFormatError("links entry must be an object")
-            verified = obj.get("verified", False)
-            if not isinstance(verified, bool):
-                raise TraceFormatError("verified must be a boolean")
-            src = _int_index(_require(obj, "src"), "src")
-            tgt = _int_index(_require(obj, "tgt"), "tgt")
-            src_start = _int_ms(_require(obj, "src_start"), "src_start")
-            tgt_start = _int_ms(_require(obj, "tgt_start"), "tgt_start")
-            _check_link(src, tgt, src_start, tgt_start)
-            rows.append((src, tgt, src_start, tgt_start, verified))
+        objs = _require_list(record, "links")
+        rows = _link_columns(objs)
+        if rows is None:  # name the fault, or read integer-valued floats
+            rows = []
+            for obj in objs:
+                if not isinstance(obj, dict):
+                    raise TraceFormatError("links entry must be an object")
+                verified = obj.get("verified", False)
+                if not isinstance(verified, bool):
+                    raise TraceFormatError("verified must be a boolean")
+                src = _int_index(_require(obj, "src"), "src")
+                tgt = _int_index(_require(obj, "tgt"), "tgt")
+                src_start = _int_ms(_require(obj, "src_start"), "src_start")
+                tgt_start = _int_ms(_require(obj, "tgt_start"), "tgt_start")
+                _check_link(src, tgt, src_start, tgt_start)
+                rows.append((src, tgt, src_start, tgt_start, verified))
     except TraceError as exc:
         raise TraceFormatError(f"{_context(lineno)}{exc}") from exc
     return sentence_id, AlignmentLinks(tuple(rows))
+
+
+def _link_columns(objs: list) -> tuple | None:
+    """Link rows by columns: plain-int indices >= 1 and times >= 0, bool ``verified``."""
+    columns = [_int_column(objs, "src"), _int_column(objs, "tgt"),
+               _int_column(objs, "src_start", ms=True), _int_column(objs, "tgt_start", ms=True)]
+    if not objs or None in columns:
+        return None
+    src, tgt, src_start, tgt_start = columns
+    if min(min(src), min(tgt)) < 1 or min(min(src_start), min(tgt_start)) < 0:
+        return None
+    verified = [obj.get("verified", False) for obj in objs]
+    return tuple(zip(*columns, verified)) if set(map(type, verified)) == {bool} else None
 
 
 def read_alignments(path: str) -> list[tuple[str, AlignmentLinks]]:

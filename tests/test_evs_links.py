@@ -140,3 +140,14 @@ def test_mean_evs_sums_spans_in_link_order():
              AlignedPair(3, 3, 1e16, 0, True)]
     assert bits(mean_evs(pairs)) == bits(oracle_mean(pairs, VERIFIED_ONLY)) == bits(0.0)
     assert bits(mean_evs(pairs[::-1])) == bits(1 / 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(link_lists(any_times))
+def test_dedupe_gives_its_own_output_back(pairs):
+    unique, _ = dedupe_pairs(pairs)
+    again, dupes = dedupe_pairs(unique)
+    assert again is unique and dupes == 0
+    for mode in (VERIFIED_ONLY, AUTOMATIC):
+        assert bits(mean_evs(unique, mode)) == bits(mean_evs(pairs, mode))
+        assert bits(mean_evs(unique, mode)) == bits(mean_evs(AlignmentLinks.of(pairs), mode))

@@ -445,9 +445,9 @@ def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
     identity, so the operation is idempotent.
     """
     if not s.is_timed:
-        raise TraceError(f"{s.id}: unit-step session has no speech timeline")
+        raise TraceError("unit-step session has no speech timeline")
     if not s.source:
-        raise TraceError(f"{s.id}: no input")
+        raise TraceError("no input")
 
     tau = cfg.tau
     # counts[g-1] = number of sub-tokens covering the first g source chunks
@@ -463,7 +463,7 @@ def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
             # pieces within a chunk are in order; chunks that overlap may not be
             if starts and (piece_starts[0] < starts[-1] or piece_ends[0] < ends[-1]):
                 raise TraceError(
-                    f"{s.id}: target tokens {t - 1},{t} out of order once split into sub-segments"
+                    f"target tokens {t - 1},{t} out of order once split into sub-segments"
                 )
             n = len(piece_starts)
             texts += [text if n == 1 else None] * n

@@ -18,11 +18,11 @@ logger = logging.getLogger(__name__)
 
 def _require_timed(s: SessionTrace, what: str) -> None:
     if not s.is_timed:
-        raise TraceError(f"{s.id}: {what} needs a timed session, not unit steps")
+        raise TraceError(f"{what} needs a timed session, not unit steps")
     if not s.source:
-        raise TraceError(f"{s.id}: no input")
+        raise TraceError("no input")
     if not s.target:
-        raise TraceError(f"{s.id}: no output produced")
+        raise TraceError("no output produced")
 
 
 def atd_timed(s: SessionTrace) -> float:
@@ -64,9 +64,9 @@ def build_nca_timeline(s: SessionTrace) -> SessionTrace:
     that the wall-clock trace declared its computation structure.
     """
     if s.timeline_kind != CA:
-        raise TraceError(f"{s.id}: only computation-aware sessions can be re-scheduled")
+        raise TraceError("only computation-aware sessions can be re-scheduled")
     if s.spans is None:
-        raise TraceError(f"{s.id}: missing computation-span annotations")
+        raise TraceError("missing computation-span annotations")
     _require_timed(s, "re-scheduling")
 
     durations = [end - start for start, end in zip(s.target.start, s.target.end)]

@@ -438,7 +438,7 @@ def test_subsegment_session_names_input_targets_whose_pieces_leave_order():
     # each chunk splits in order, but chunk 2's first piece starts before
     # chunk 1's last one; chunks that overlap less still split in order
     overlapping = timed_session("ov", [(0, 1000)], [(1000, 3000), (1000, 3000)], [1, 1])
-    with pytest.raises(TraceError, match=r"^ov: target tokens 1,2 out of order"):
+    with pytest.raises(TraceError, match=r"^target tokens 1,2 out of order"):
         subsegment_session(overlapping, SubSegmentConfig(tau=1000))
     in_order = timed_session("ok", [(0, 1000)], [(1000, 1250), (1200, 1900)], [1, 1])
     assert subsegment_session(in_order, SubSegmentConfig(tau=300)).tgt_len == 4

@@ -367,7 +367,7 @@ def test_cli_eval_names_input_targets_whose_pieces_leave_order(tmp_path, caplog)
     with caplog.at_level("WARNING"):
         assert main(["eval", str(traces), "--tau", "1000", "-o", str(tmp_path / "r.csv")]) == 0
     assert [r.getMessage() for r in caplog.records] == [
-        "ov: skipping atd (ov: target tokens 1,2 out of order once split into sub-segments)"
+        "ov: skipping atd (target tokens 1,2 out of order once split into sub-segments)"
     ]
 
 

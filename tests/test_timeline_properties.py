@@ -57,9 +57,9 @@ def oracle_subsegment_speech(segments, cfg):
 
 def oracle_subsegment_session(s, cfg):
     if not s.is_timed:
-        raise TraceError(f"{s.id}: unit-step session has no speech timeline")
+        raise TraceError("unit-step session has no speech timeline")
     if not s.source:
-        raise TraceError(f"{s.id}: no input")
+        raise TraceError("no input")
 
     src_tokens = oracle_subsegment_speech([(t.start, t.end) for t in s.source], cfg)
     counts = []
@@ -79,7 +79,7 @@ def oracle_subsegment_session(s, cfg):
                 pieces[0].start < tgt_tokens[-1].start or pieces[0].end < tgt_tokens[-1].end
             ):
                 raise TraceError(
-                    f"{s.id}: target tokens {t - 1},{t} out of order once split into sub-segments"
+                    f"target tokens {t - 1},{t} out of order once split into sub-segments"
                 )
             text = token.text if len(pieces) == 1 else None
             for piece in pieces:

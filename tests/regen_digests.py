@@ -23,10 +23,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from regen_goldens import REPORTS, ROOT, RUN_CLI
+
 MANIFEST = ROOT / "fixtures" / "corpus_digests.json"
-RUN_CLI = "import sys; from simulatency.cli import main; sys.exit(main(sys.argv[1:]))"
-REPORTS = ("csv", "json")
 SEED = 1
 
 # input name -> (bench workload, records; pairs for concat_write)

@@ -1,7 +1,8 @@
 """Golden ``evs`` reports, compared byte for byte.
 
 ``fixtures/evs_alignments.jsonl`` covers exact duplicate links (dropped with
-a warning), links that differ only in their ``verified`` flag (both kept),
+a warning), links that differ only in their ``verified`` flag (one kept,
+verified, and the other counted in the duplicate warning),
 unverified links, a link without a ``verified`` field, a sentence whose links
 are all unverified, a sentence with no links, integer-valued floats, a
 negative span and one target word aligned to several source words.  The

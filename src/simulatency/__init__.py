@@ -28,7 +28,6 @@ from .core import (
     concat_sessions,
     regroup_tokens,
     subsegment_session,
-    subsegment_speech,
 )
 from .evs import AUTOMATIC, VERIFIED_ONLY, AlignedPair, dedupe_pairs, mean_evs
 from .metrics_step import (
@@ -61,8 +60,6 @@ from .trace_io import (
     read_sessions,
     record_to_session,
     session_to_record,
-    write_alignments,
-    write_sessions,
 )
 
 __version__ = "0.1.0"
@@ -123,7 +120,4 @@ __all__ = [
     "spearman",
     "start_offset",
     "subsegment_session",
-    "subsegment_speech",
-    "write_alignments",
-    "write_sessions",
 ]

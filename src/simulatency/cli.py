@@ -271,6 +271,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     unknown = [m or "''" for m in metrics or () if m not in METRICS]  # '' for an empty entry
     if unknown:
         raise SystemExit(_usage_error(args, f"unknown metrics: {', '.join(unknown)}"))
+    repeated = [m for m in dict.fromkeys(metrics or ()) if metrics.count(m) > 1]
+    if repeated:  # it would be scored, and warned about, once per mention
+        raise SystemExit(_usage_error(args, f"repeated metrics: {', '.join(repeated)}"))
     if args.json == "-" and args.output in (None, "-"):
         raise SystemExit(_usage_error(args, "--json - needs -o FILE: the CSV goes to stdout"))
     if args.json not in (None, "-") and args.output not in (None, "-"):
@@ -387,13 +390,20 @@ def _rows_by_id(path: str) -> tuple[list[str], dict[str | None, dict]]:
     return columns, by_id
 
 
-def _as_float(text: str | None) -> float | None:
-    if text is None or text == "":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
+def _numbers(rows: list[dict], name: str) -> list[float | None]:
+    """Column ``name`` of ``rows`` as floats: None for an empty cell and, with
+    one warning for the column, for a cell that is not a number."""
+    values: list[float | None] = []
+    bad = 0
+    for row in rows:
+        try:
+            values.append(float(row[name]) if row.get(name) else None)
+        except ValueError:
+            values.append(None)
+            bad += 1
+    if bad:
+        logger.warning("column %r: %d cells are not numbers and are left out", name, bad)
+    return values
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
@@ -410,9 +420,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         if name not in columns and name not in joined_columns:
             files = f"{args.report} or {args.join}" if args.join else args.report
             raise TraceError(f"no column {name!r} in {files}")
-    col_a = [_as_float(row.get(args.col_a)) for row in rows]
-    col_b = [_as_float(row.get(args.col_b)) for row in rows]
-    result = spearman(col_a, col_b)
+    values = {name: _numbers(rows, name) for name in dict.fromkeys((args.col_a, args.col_b))}
+    result = spearman(values[args.col_a], values[args.col_b])
     print(f"rho={result.rho:.6f} p={result.pvalue:.6f} n={result.n}")
     if args.output:
         with _output(args.output) as fp:
@@ -503,10 +512,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
+    # the handlers live on the package logger for this call only, so no state
+    # is left behind; a caller whose root logger has a handler shows warnings
     counter = _WarningCounter()
-    root = logging.getLogger()
-    root.addHandler(counter)
+    handlers: list[logging.Handler] = [counter]
+    if not logging.getLogger().handlers:
+        printer = logging.StreamHandler(sys.stderr)
+        printer.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+        handlers.append(printer)
+    for handler in handlers:
+        logger.addHandler(handler)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -520,7 +535,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     finally:
-        root.removeHandler(counter)
+        for handler in handlers:
+            logger.removeHandler(handler)
     if code == EXIT_OK and getattr(args, "strict", False) and counter.count:
         print(
             f"simulatency: error: {counter.count} warnings escalated by --strict",

@@ -67,16 +67,6 @@ class TimedToken:
     def __post_init__(self) -> None:
         _check_times(self.start, self.end)
 
-    @property
-    def timed(self) -> bool:
-        return self.start is not None
-
-    @property
-    def duration(self) -> float:
-        if self.start is None:
-            raise TraceError("token carries no times")
-        return self.end - self.start
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class TokenSide(Sequence):
@@ -116,15 +106,6 @@ class TokenSide(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-    def __add__(self, other):
-        if not isinstance(other, (TokenSide, tuple)):
-            return NotImplemented
-        other = TokenSide.of(other)
-        return TokenSide(self.text + other.text, self.start + other.start, self.end + other.end)
-
-    def __radd__(self, other):
-        return TokenSide.of(other) + self if isinstance(other, tuple) else NotImplemented
 
 
 @dataclass(frozen=True)
@@ -305,21 +286,6 @@ def _split_chunks(
         counts.append(len(starts))
         prev_end = chunk_end
     return TokenSide((None,) * len(starts), tuple(starts), tuple(ends)), counts
-
-
-def subsegment_speech(
-    segments: list[tuple[float, float]] | tuple[tuple[float, float], ...],
-    cfg: SubSegmentConfig = SubSegmentConfig(),
-) -> TokenSide:
-    """Split speech chunks into tokens of at most ``tau`` ms.
-
-    Each chunk [s, e) becomes tokens [s, s+tau), [s+tau, s+2*tau), ...; the
-    final token of a chunk ends exactly at e, so a remainder shorter than tau
-    forms its own shorter token.  Silence between chunks belongs to no token.
-    """
-    if not segments:
-        raise TraceError("no input: empty segment list")
-    return _split_chunks(segments, cfg.tau)[0]
 
 
 def chunk_ends_from_reads(reads: tuple[int, ...] | list[int]) -> tuple[int, ...]:

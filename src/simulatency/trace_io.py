@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from operator import le
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import (
     STEPS,
@@ -33,7 +33,7 @@ from .core import (
     TraceError,
     _check_times,
 )
-from .evs import AlignedPair, AlignmentLinks, _check_link
+from .evs import AlignmentLinks, _check_link
 
 
 class TraceFormatError(TraceError):
@@ -301,12 +301,6 @@ def read_sessions(path: str) -> list[SessionTrace]:
     return _read_records(path, record_to_session)
 
 
-def write_sessions(path: str, sessions: Iterable[SessionTrace]) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for session in sessions:
-            fp.write(json.dumps(session_to_record(session), ensure_ascii=False) + "\n")
-
-
 def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, AlignmentLinks]:
     try:
         sentence_id = _record_id(record)
@@ -346,24 +340,3 @@ def _link_columns(objs: list) -> tuple | None:
 
 def read_alignments(path: str) -> list[tuple[str, AlignmentLinks]]:
     return _read_records(path, record_to_alignment)
-
-
-def write_alignments(
-    path: str, alignments: Iterable[tuple[str, Iterable[AlignedPair]]]
-) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for sentence_id, links in alignments:
-            record = {
-                "id": sentence_id,
-                "links": [
-                    {
-                        "src": link.src_index,
-                        "tgt": link.tgt_index,
-                        "src_start": _wire_ms(link.src_start, sentence_id, "link"),
-                        "tgt_start": _wire_ms(link.tgt_start, sentence_id, "link"),
-                        "verified": link.verified,
-                    }
-                    for link in links
-                ],
-            }
-            fp.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -55,6 +55,11 @@ RUNS = {
     "simulate_wait_k": (0, ("simulate", "--strategy", "wait-k", "--k", "1..3", "--src-len", "6", "--tgt-len", "5")),
     "simulate_chunk_k": (0, ("simulate", "--strategy", "chunk-k", "--k", "1..3", "--src-len", "6", "--tgt-len", "5")),
     "simulate_two_segment": (0, ("simulate", "--strategy", "two-segment", "--first-len", "1..3")),
+    # n=4 takes the exact permutation p-value, n=9 the t approximation
+    "correlate_mixed": (0, ("correlate", "mixed_report.csv", "--col-a", "al", "--col-b", "atd")),
+    "correlate_mixed_steps": (
+        0, ("correlate", "mixed_report_steps.csv", "--col-a", "al", "--col-b", "atd", "-o", "-")
+    ),
 }
 
 

@@ -16,7 +16,6 @@ from simulatency import (
     concat_sessions,
     regroup_tokens,
     subsegment_session,
-    subsegment_speech,
 )
 from simulatency.core import MAX_SUBTOKENS_PER_SIDE
 
@@ -163,55 +162,61 @@ def test_session_errors_name_the_session_once(fields, message):
 
 
 # ---------------------------------------------------------------------------
-# subsegment_speech
+# subsegment_session: the source chunks of a session
 # ---------------------------------------------------------------------------
 
+def split_source(segments, tau=300):
+    """The source side of a session whose source chunks are ``segments``,
+    once ``subsegment_session`` has split it."""
+    return subsegment_session(timed_session("s", segments, [], []), SubSegmentConfig(tau=tau)).source
+
+
 def test_subsegment_exact_multiple():
-    tokens = subsegment_speech([(0, 900)], SubSegmentConfig(tau=300))
+    tokens = split_source([(0, 900)])
     assert [t.end for t in tokens] == [300, 600, 900]
     assert [t.start for t in tokens] == [0, 300, 600]
 
 
 def test_subsegment_remainder_forms_short_final_token():
-    tokens = subsegment_speech([(0, 750)], SubSegmentConfig(tau=300))
+    tokens = split_source([(0, 750)])
     assert [t.end for t in tokens] == [300, 600, 750]
-    assert tokens[-1].duration == 150
+    assert tokens[-1].end - tokens[-1].start == 150
 
 
 def test_subsegment_silence_belongs_to_no_token():
-    tokens = subsegment_speech([(0, 600), (1000, 1300)], SubSegmentConfig(tau=300))
+    tokens = split_source([(0, 600), (1000, 1300)])
     assert [t.end for t in tokens] == [300, 600, 1300]
     assert tokens[2].start == 1000
 
 
 @pytest.mark.parametrize("segments", [[(0, 900)], [(0, 750)], [(100, 450), (700, 1900)]])
 def test_subsegment_durations_bounded_by_tau(segments):
-    cfg = SubSegmentConfig(tau=300)
-    tokens = subsegment_speech(segments, cfg)
+    tau = 300
+    tokens = split_source(segments, tau)
     chunk_finals = {min(i for i, t in enumerate(tokens, 1) if t.end == e) for _, e in segments}
     for token in tokens:
-        assert token.duration <= cfg.tau + 1e-9
+        assert token.end - token.start <= tau + 1e-9
         is_final = any(token.end == e for _, e in segments)
         if not is_final:
-            assert token.duration == pytest.approx(cfg.tau)
+            assert token.end - token.start == pytest.approx(tau)
     assert len(chunk_finals) == len(segments)
 
 
 def test_subsegment_last_piece_ends_at_chunk_end_within_tolerance():
     # 300 ms is one tau plus 1e-7 ms, inside the count's tolerance: one piece,
     # which must still end at the chunk's end
-    tokens = subsegment_speech([(0, 300)], SubSegmentConfig(tau=299.9999999))
+    tokens = split_source([(0, 300)], tau=299.9999999)
     assert [(t.start, t.end) for t in tokens] == [(0, 300.0)]
 
 
 def test_subsegment_empty_input_rejected():
     with pytest.raises(TraceError, match="no input"):
-        subsegment_speech([], SubSegmentConfig(tau=300))
+        split_source([])
 
 
 def test_subsegment_overlapping_chunks_rejected():
     with pytest.raises(TraceError, match="overlaps"):
-        subsegment_speech([(0, 600), (500, 900)], SubSegmentConfig(tau=300))
+        split_source([(0, 600), (500, 900)])
 
 
 def test_non_positive_tau_rejected():
@@ -233,11 +238,11 @@ def test_non_finite_tau_rejected():
 )
 def test_chunk_of_too_many_subtokens_rejected(segment, tau):
     with pytest.raises(TraceError, match=f"more than {MAX_SUBTOKENS_PER_SIDE} sub-tokens"):
-        subsegment_speech([segment], SubSegmentConfig(tau=tau))
+        split_source([segment], tau)
 
 
 def test_chunk_at_the_subtoken_bound_is_split():
-    tokens = subsegment_speech([(0, MAX_SUBTOKENS_PER_SIDE)], SubSegmentConfig(tau=1))
+    tokens = split_source([(0, MAX_SUBTOKENS_PER_SIDE)], tau=1)
     assert len(tokens) == MAX_SUBTOKENS_PER_SIDE
 
 
@@ -340,7 +345,7 @@ def test_concat_offsets_reads_by_first_source_length():
     joined = concat_sessions(a, b)
     assert joined.reads == (1, 2)
     assert joined.src_len == 2 and joined.tgt_len == 2
-    assert joined.source == a.source + b.source
+    assert joined.source == tuple(a.source) + tuple(b.source)
 
 
 def test_concat_relative_shifts_by_last_event():

@@ -3,7 +3,9 @@
 Beyond the ``eval`` and ``evs`` reports that ``test_golden.py``,
 ``test_mixed_report.py`` and ``test_evs_report.py`` pin, this covers
 ``concat`` with each pairing and shift on the speech, mixed and contrast
-fixtures, and ``simulate`` with each strategy: stdout, stderr and exit code.
+fixtures, ``simulate`` with each strategy, and ``correlate`` on two committed
+reports (the exact and the t-approximation p-value): stdout, stderr and exit
+code.
 """
 
 import pytest

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +13,6 @@ from simulatency import (
     CA,
     NCA,
     SPEECH_TO_TEXT,
-    AlignedPair,
     ComputationSpan,
     SessionTrace,
     StepMetricInput,
@@ -29,16 +31,22 @@ from simulatency import (
     read_sessions,
     record_to_session,
     session_to_record,
-    write_alignments,
-    write_sessions,
 )
 from simulatency.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def read_csv(text):
     return list(csv.DictReader(text.splitlines()))
+
+
+def write_traces(path, sessions):
+    """A JSONL trace file of ``sessions``, one record a line."""
+    path.write_text(
+        "".join(json.dumps(session_to_record(s)) + "\n" for s in sessions), encoding="utf-8"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +56,7 @@ def read_csv(text):
 def test_session_record_round_trip(tmp_path):
     sessions = [gen_wait_k(3, 6, 7), gen_chunk_k(2, 5, 5), contrast_balanced(), contrast_frontloaded()]
     path = tmp_path / "traces.jsonl"
-    write_sessions(str(path), sessions)
+    write_traces(path, sessions)
     loaded = read_sessions(str(path))
     assert [s.id for s in loaded] == [s.id for s in sessions]
     for original, parsed in zip(sessions, loaded):
@@ -63,7 +71,7 @@ def test_session_record_round_trip(tmp_path):
 def test_metric_values_round_trip_bit_for_bit(tmp_path):
     sessions = [gen_chunk_k(k, 20, 20) for k in (1, 7, 19, 20)]
     path = tmp_path / "traces.jsonl"
-    write_sessions(str(path), sessions)
+    write_traces(path, sessions)
     loaded = read_sessions(str(path))
     for original, parsed in zip(sessions, loaded):
         for metric in (average_lagging, differentiable_average_lagging, atd_steps):
@@ -144,15 +152,17 @@ def test_session_to_record_refuses_fractional_span_times():
     assert str(info.value) == "contrast-balanced: span time 2.5 is not integer milliseconds"
 
 
-def test_write_alignments_refuses_fractional_link_times(tmp_path):
-    with pytest.raises(TraceError) as info:
-        write_alignments(str(tmp_path / "a.jsonl"), [("a1", [AlignedPair(1, 1, 0.5, 3)])])
-    assert str(info.value) == "a1: link time 0.5 is not integer milliseconds"
-
-
 def test_alignment_round_trip(tmp_path):
     path = tmp_path / "align.jsonl"
-    write_alignments(str(path), sorted(contrast_alignments().items()))
+    records = [
+        {"id": sentence_id, "links": [
+            {"src": link.src_index, "tgt": link.tgt_index, "src_start": int(link.src_start),
+             "tgt_start": int(link.tgt_start), "verified": link.verified}
+            for link in links
+        ]}
+        for sentence_id, links in sorted(contrast_alignments().items())
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     loaded = dict(read_alignments(str(path)))
     assert loaded == contrast_alignments()
 
@@ -170,7 +180,7 @@ def eval_csv(capsys, *argv):
 
 def test_cli_eval_chunk19_al(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_chunk_k(19, 20, 20), gen_chunk_k(20, 20, 20)])
+    write_traces(traces, [gen_chunk_k(19, 20, 20), gen_chunk_k(20, 20, 20)])
     rows = eval_csv(capsys, str(traces), "--metrics", "al")
     assert float(rows[0]["al"]) == 9.55
     assert float(rows[1]["al"]) == 20.0
@@ -180,7 +190,7 @@ def test_cli_eval_chunk19_al(tmp_path, capsys):
 
 def test_cli_eval_wait5_defaults(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(5, 20, 20)])
+    write_traces(traces, [gen_wait_k(5, 20, 20)])
     rows = eval_csv(capsys, str(traces))
     row = rows[0]
     assert float(row["al"]) == pytest.approx(5.0)
@@ -217,7 +227,7 @@ def test_cli_eval_subsegmented_atd_keeps_fixture_ordering(capsys):
 
 def test_cli_eval_incompatible_metric_warns_and_skips(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(2, 4, 4)])
+    write_traces(traces, [gen_wait_k(2, 4, 4)])
     rows = eval_csv(capsys, str(traces), "--metrics", "al,start_offset")
     assert float(rows[0]["al"]) == pytest.approx(2.0)
     assert rows[0]["start_offset"] == ""
@@ -225,21 +235,21 @@ def test_cli_eval_incompatible_metric_warns_and_skips(tmp_path, capsys):
 
 def test_cli_eval_strict_escalates_warnings(tmp_path):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(2, 4, 4)])
+    write_traces(traces, [gen_wait_k(2, 4, 4)])
     code = main(["eval", str(traces), "--metrics", "start_offset", "--strict"])
     assert code == 2
 
 
 def test_cli_eval_unknown_metric_is_usage_error(tmp_path):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(2, 4, 4)])
+    write_traces(traces, [gen_wait_k(2, 4, 4)])
     assert main(["eval", str(traces), "--metrics", "bleu"]) == 1
 
 
 def test_cli_eval_json_report(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
     report = tmp_path / "report.json"
-    write_sessions(str(traces), [gen_wait_k(5, 20, 20)])
+    write_traces(traces, [gen_wait_k(5, 20, 20)])
     code = main(["eval", str(traces), "--json", str(report), "-o", str(tmp_path / "r.csv")])
     assert code == 0
     payload = json.loads(report.read_text(encoding="utf-8"))
@@ -744,6 +754,28 @@ def test_cli_correlate_excludes_corpus_row_and_absent_cells(tmp_path, capsys):
     assert "n=3" in capsys.readouterr().out
 
 
+def test_cli_correlate_warns_once_per_column_about_cells_that_are_not_numbers(
+    tmp_path, capsys, caplog
+):
+    rows = [["s1", 1, 1], ["s2", 2, 3], ["s3", "n/a", 3], ["s4", 4, "x"], ["s5", "?", 5],
+            ["s6", 6, 2]]
+    blank = [[cell if str(cell)[0].isdigit() else "" for cell in row] for row in rows]
+    outputs = []
+    for name, cells in (("blank", blank), ("words", rows)):
+        write_report(tmp_path / f"{name}.csv", cells, ["id", "a", "b"])
+        argv = ["correlate", str(tmp_path / f"{name}.csv"), "--col-a", "a", "--col-b", "b"]
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert main([*argv, "-o", str(tmp_path / f"{name}.out")]) == 0
+        warnings = [r.getMessage() for r in caplog.records]
+        outputs.append((capsys.readouterr().out, (tmp_path / f"{name}.out").read_bytes()))
+    assert warnings == [
+        "column 'a': 2 cells are not numbers and are left out",
+        "column 'b': 1 cells are not numbers and are left out",
+    ]
+    assert outputs[0] == outputs[1] and outputs[1][0].endswith(" n=3\n")
+
+
 def test_cli_correlate_insufficient_samples(tmp_path, capsys):
     path = tmp_path / "report.csv"
     write_report(path, [["s1", 1, 1], ["s2", 2, 2]], ["id", "a", "b"])
@@ -756,7 +788,7 @@ def test_cli_correlate_insufficient_samples(tmp_path, capsys):
 
 def test_cli_concat_adjacent_pairs(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(1, 1, 1), replace(gen_wait_k(1, 1, 1), id="b")])
+    write_traces(traces, [gen_wait_k(1, 1, 1), replace(gen_wait_k(1, 1, 1), id="b")])
     out_path = tmp_path / "joined.jsonl"
     assert main(["concat", str(traces), "-o", str(out_path)]) == 0
     joined = read_sessions(str(out_path))
@@ -766,7 +798,7 @@ def test_cli_concat_adjacent_pairs(tmp_path, capsys):
 
 def test_cli_concat_warns_on_odd_count(tmp_path, caplog):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [replace(gen_wait_k(1, 2, 2), id=f"s{i}") for i in range(3)])
+    write_traces(traces, [replace(gen_wait_k(1, 2, 2), id=f"s{i}") for i in range(3)])
     out_path = tmp_path / "joined.jsonl"
     with caplog.at_level("WARNING"):
         assert main(["concat", str(traces), "-o", str(out_path)]) == 0
@@ -776,7 +808,7 @@ def test_cli_concat_warns_on_odd_count(tmp_path, caplog):
 
 def test_cli_concat_sliding(tmp_path):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [replace(gen_wait_k(1, 2, 2), id=f"s{i}") for i in range(3)])
+    write_traces(traces, [replace(gen_wait_k(1, 2, 2), id=f"s{i}") for i in range(3)])
     out_path = tmp_path / "joined.jsonl"
     assert main(["concat", str(traces), "--pairing", "sliding", "-o", str(out_path)]) == 0
     assert len(read_sessions(str(out_path))) == 2
@@ -824,7 +856,7 @@ def test_cli_eval_refuses_a_unit_step_side_out_of_order_across_untimed_tokens(tm
 
 def test_cli_concat_single_session_is_data_error(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(1, 2, 2)])
+    write_traces(traces, [gen_wait_k(1, 2, 2)])
     assert main(["concat", str(traces)]) == 2
 
 
@@ -839,7 +871,7 @@ def test_usage_error_exit_code(capsys):
 
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
-    write_sessions(str(traces), [gen_wait_k(2, 4, 4)])
+    write_traces(traces, [gen_wait_k(2, 4, 4)])
     assert main(["eval", str(traces), "--granularity", "bytes"]) == 1
     assert main(["eval", str(traces), "--tau", "-5"]) == 1
     assert main(["simulate", "--strategy", "wait-k", "--k", "x..y"]) == 1
@@ -908,6 +940,9 @@ EXIT_CODES = [
     ("unknown --metrics name, before the file is read",
      ["eval", "{missing}", "--metrics", "al,bogus"], 1, "unknown metrics: bogus"),
     ("empty --metrics entry", ["eval", "{traces}", "--metrics", "al,"], 1, "unknown metrics: ''"),
+    ("repeated --metrics name",
+     ["eval", "{traces}", "--metrics", "al,al,start_offset,start_offset", "--strict"], 1,
+     "repeated metrics: al, start_offset"),
     ("missing file", ["eval", "{missing}"], 2, "No such file"),
     ("malformed JSON", ["eval", "{malformed}"], 2, "line 2: malformed JSON"),
     ("non-UTF-8 trace", ["eval", "{not_utf8}"], 2, "line 1: not UTF-8"),
@@ -946,3 +981,59 @@ def test_exit_code_of_each_error_class(tmp_path, capsys, argv, code, message):
     assert message in err
     if code == 2:
         assert err.startswith("simulatency: error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# logging: run in a fresh interpreter, where pytest's root handlers cannot
+# hide what main leaves behind
+# ---------------------------------------------------------------------------
+
+MAIN_TWICE = """
+import contextlib, io, json, logging, sys
+from simulatency.cli import main
+
+handled, argv = sys.argv[1] == "handled", sys.argv[2:]
+root = logging.getLogger()
+if handled:
+    root.addHandler(logging.NullHandler())
+before = (list(root.handlers), root.level)
+calls = []
+for _ in range(2):
+    with contextlib.redirect_stderr(io.StringIO()) as err, \\
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    calls.append([code, err.getvalue()])
+after = (list(root.handlers), root.level)
+package = [type(h).__name__ for h in logging.getLogger("simulatency").handlers]
+print(json.dumps({"calls": calls, "root kept": after == before, "package": package}))
+"""
+
+
+def run_main_twice(tmp_path, handled, *argv):
+    traces = tmp_path / "traces.jsonl"
+    write_traces(traces, [gen_wait_k(k, 4, 4) for k in (1, 2, 3)])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_TWICE, "handled" if handled else "bare",
+         "eval", str(traces), "--metrics", "al,start_offset", *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_main_writes_warnings_to_the_stderr_of_each_call_and_leaves_no_handler(tmp_path):
+    warnings = "".join(
+        f"WARNING wait{k}-4x4: skipping start_offset (unit-step session has no timed metrics)\n"
+        for k in (1, 2, 3)
+    )
+    result = run_main_twice(tmp_path, False)
+    assert result == {"calls": [[0, warnings]] * 2, "root kept": True, "package": []}
+    result = run_main_twice(tmp_path, False, "--strict")
+    escalated = "simulatency: error: 3 warnings escalated by --strict\n"
+    assert result["calls"] == [[2, warnings + escalated]] * 2
+
+
+def test_main_under_a_root_handler_prints_no_warning_but_counts_them_for_strict(tmp_path):
+    result = run_main_twice(tmp_path, True, "--strict")
+    escalated = "simulatency: error: 3 warnings escalated by --strict\n"
+    assert result == {"calls": [[2, escalated]] * 2, "root kept": True, "package": []}

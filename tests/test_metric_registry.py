@@ -3,6 +3,7 @@ kernel per timeline, looked up in ``cli`` when called, and README documents
 exactly these names."""
 
 import csv
+import json
 import re
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from simulatency import (
     RATIO_LENGTH_ADAPTIVE,
     RATIO_REFERENCE,
     gen_wait_k,
-    write_sessions,
+    session_to_record,
 )
 from simulatency import cli
 
@@ -56,7 +57,7 @@ def test_each_metric_reports_what_its_kernel_returns(
 ):
     if kind == "steps":
         traces = tmp_path / "steps.jsonl"
-        write_sessions(str(traces), [gen_wait_k(2, 4, 4)])
+        traces.write_text(json.dumps(session_to_record(gen_wait_k(2, 4, 4))) + "\n")
     else:
         traces = FIXTURES / "contrast_traces.jsonl"
     calls = []
@@ -71,13 +72,13 @@ def test_each_metric_reports_what_its_kernel_returns(
     assert [row[metric] for row in rows[:-1]] == [cell] * len(calls)
 
 
-def test_repeated_metric_is_scored_like_a_single_one(capsys):
+def test_repeated_metric_is_refused_before_scoring(capsys):
+    # scored once per mention, a repeated name would warn once per mention too
     fixture = str(FIXTURES / "speech_traces.jsonl")
-    once = {row["id"]: row["atd"] for row in eval_rows(capsys, fixture, "--metrics", "atd")}
-    twice = {
-        row["id"]: row["atd"] for row in eval_rows(capsys, fixture, "--metrics", "atd,al,atd")
-    }
-    assert once["s2t-zero-src"] == "" and twice == once
+    assert cli.main(["eval", fixture, "--metrics", "atd,al,atd,al,start_offset"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "simulatency eval: error: repeated metrics: atd, al\n"
 
 
 def readme_metric_tables():

@@ -27,6 +27,7 @@ from simulatency import (
     build_nca_timeline,
     subsegment_session,
 )
+from simulatency.core import _split_chunks
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -193,6 +194,20 @@ def test_subsegment_session_equals_oracle(session, tau):
     cfg = SubSegmentConfig(tau=tau)
     assert outcome(subsegment_session, session, cfg) == outcome(
         oracle_subsegment_session, session, cfg
+    )
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 3000)), max_size=6),
+    any_taus,
+)
+def test_subsegment_speech_equals_oracle(segments, tau):
+    # the chunk-list split that subsegment_session runs over a source side,
+    # on any list of (start, end) pairs: reversed, empty and overlapping ones too
+    cfg = SubSegmentConfig(tau=tau)
+    assert outcome(lambda s, c: tuple(_split_chunks(s, c.tau)[0]), segments, cfg) == outcome(
+        oracle_split_chunks, segments, cfg
     )
 
 

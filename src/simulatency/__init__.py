@@ -45,14 +45,7 @@ from .metrics_step import (
     differentiable_average_lagging,
 )
 from .metrics_time import atd_timed, build_nca_timeline, end_offset, start_offset
-from .sim import (
-    contrast_alignments,
-    contrast_balanced,
-    contrast_frontloaded,
-    gen_two_segment,
-    gen_chunk_k,
-    gen_wait_k,
-)
+from .sim import gen_chunk_k, gen_two_segment, gen_wait_k
 from .stats import SpearmanResult, StatsError, spearman
 from .trace_io import (
     TraceFormatError,
@@ -105,9 +98,6 @@ __all__ = [
     "dedupe_pairs",
     "differentiable_average_lagging",
     "end_offset",
-    "contrast_alignments",
-    "contrast_balanced",
-    "contrast_frontloaded",
     "gen_two_segment",
     "gen_chunk_k",
     "gen_wait_k",

@@ -512,8 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # the handlers live on the package logger for this call only, so no state
-    # is left behind; a caller whose root logger has a handler shows warnings
+    # the handlers, and a level that lets warnings through, live on the package
+    # logger for this call only, so no state is left behind and --strict counts
+    # whatever the root's level; a root handler, if any, shows the warnings
+    level = logger.level
+    logger.setLevel(min(logger.getEffectiveLevel(), logging.WARNING))
     counter = _WarningCounter()
     handlers: list[logging.Handler] = [counter]
     if not logging.getLogger().handlers:
@@ -537,6 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         for handler in handlers:
             logger.removeHandler(handler)
+        logger.setLevel(level)
     if code == EXIT_OK and getattr(args, "strict", False) and counter.count:
         print(
             f"simulatency: error: {counter.count} warnings escalated by --strict",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable
 
 TEXT_TO_TEXT = "text-to-text"
@@ -218,13 +219,21 @@ class SessionTrace:
         _check_reads(self.reads, len(self.source))
 
     def _validate_side(self, side_name: str, side: TokenSide) -> None:
-        if self.timeline_kind != STEPS and None in side.start:
-            pos = side.start.index(None) + 1
+        starts, ends = side.start, side.end
+        if self.timeline_kind != STEPS and None in starts:
+            pos = starts.index(None) + 1
             raise TraceError(f"{side_name} token {pos} lacks times on a timed session")
-        if side.start.count(None) == len(side):  # no timed token to order
+        if starts.count(None) == len(side) == ends.count(None):  # no timed token to check
             return
+        # by columns on the common path; token by token to name a fault
+        if None in starts or None in ends or min(starts) < 0 or not all(map(le, starts, ends)):
+            for pos, times in enumerate(zip(starts, ends), start=1):
+                try:
+                    _check_times(*times)
+                except TraceError as exc:
+                    raise TraceError(f"{side_name} token {pos}: {exc}") from None
         last = prev_start = prev_end = None  # the last timed token's position and times
-        for pos, (start, end) in enumerate(zip(side.start, side.end), start=1):
+        for pos, (start, end) in enumerate(zip(starts, ends), start=1):
             if start is not None:
                 if last is not None and (start < prev_start or end < prev_end):
                     raise TraceError(f"{side_name} tokens {last},{pos} out of order")

@@ -2,24 +2,14 @@
 
 The generators produce unit-step sessions for the two classic incremental
 policies (wait-k and fixed-size chunking) and for a two-segment scenario
-whose first output length varies, plus a pair of hand-built timed sessions
-contrasting a balanced translation with one that front-loads a verbose first
-chunk.
+whose first output length varies.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import (
-    NCA,
-    SPEECH_TO_SPEECH,
-    STEPS,
-    TEXT_TO_TEXT,
-    SessionTrace,
-    TimedToken,
-)
-from .evs import AlignedPair
+from .core import STEPS, TEXT_TO_TEXT, SessionTrace, TimedToken
 
 
 def _step_session(session_id: str, reads: list[int], src_len: int) -> SessionTrace:
@@ -57,80 +47,3 @@ def gen_two_segment(first_len: int) -> SessionTrace:
         raise ValueError("first_len must be >= 1")
     reads = [10] * first_len + [20] * 10
     return _step_session(f"twoseg-L{first_len}", reads, 20)
-
-
-# ---------------------------------------------------------------------------
-# Hand-built two-chunk contrast fixture.
-#
-# Both sessions translate the same 10-token input, read as chunks of 3 and 7
-# tokens.  The balanced session answers with 3 + 4 tokens; the front-loaded
-# one spends 9 tokens on the first chunk and squeezes the rest into a single
-# final token.  Token timings sit on a 1-second grid with no computation
-# time.  The exact geometry is one plausible layout: the contract is the
-# direction of the metric differences between the two sessions, not the
-# absolute values.
-# ---------------------------------------------------------------------------
-
-_GRID_MS = 1000.0
-
-
-def _grid_tokens(prefix: str, slots: list[int]) -> tuple[TimedToken, ...]:
-    return tuple(
-        TimedToken(f"{prefix}{i}", slot * _GRID_MS, (slot + 1) * _GRID_MS)
-        for i, slot in enumerate(slots, start=1)
-    )
-
-
-def _contrast_session(session_id: str, tgt_slots: list[int], reads: list[int]) -> SessionTrace:
-    return SessionTrace(
-        id=session_id,
-        modality=SPEECH_TO_SPEECH,
-        timeline_kind=NCA,
-        source=_grid_tokens("x", list(range(10))),
-        target=_grid_tokens("y", tgt_slots),
-        reads=tuple(reads),
-    )
-
-
-def contrast_balanced() -> SessionTrace:
-    """Balanced translation: output chunks of 3 and 4 tokens."""
-    return _contrast_session(
-        "contrast-balanced",
-        tgt_slots=[3, 4, 5, 10, 11, 12, 13],
-        reads=[3, 3, 3, 10, 10, 10, 10],
-    )
-
-
-def contrast_frontloaded() -> SessionTrace:
-    """Front-loaded translation: a 9-token first chunk, then one final token."""
-    return _contrast_session(
-        "contrast-frontloaded",
-        tgt_slots=[3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
-        reads=[3, 3, 3, 3, 3, 3, 3, 3, 3, 10],
-    )
-
-
-def contrast_alignments() -> dict[str, tuple[AlignedPair, ...]]:
-    """Word alignment links for the contrast fixture, keyed by session id.
-
-    Verified links connect the content words; each session also carries one
-    wrong automatic link so the two averaging modes differ.
-    """
-    balanced = (
-        AlignedPair(1, 1, 0.0, 3000.0, verified=True),
-        AlignedPair(2, 2, 1000.0, 4000.0, verified=True),
-        AlignedPair(3, 3, 2000.0, 5000.0, verified=True),
-        AlignedPair(4, 4, 3000.0, 10000.0, verified=True),
-        AlignedPair(6, 5, 5000.0, 11000.0, verified=True),
-        AlignedPair(8, 6, 7000.0, 12000.0, verified=True),
-        AlignedPair(10, 7, 9000.0, 13000.0, verified=True),
-        AlignedPair(5, 2, 4000.0, 4000.0, verified=False),
-    )
-    frontloaded = (
-        AlignedPair(1, 1, 0.0, 3000.0, verified=True),
-        AlignedPair(2, 4, 1000.0, 6000.0, verified=True),
-        AlignedPair(3, 7, 2000.0, 9000.0, verified=True),
-        AlignedPair(7, 10, 6000.0, 12000.0, verified=True),
-        AlignedPair(4, 2, 3000.0, 4000.0, verified=False),
-    )
-    return {"contrast-balanced": balanced, "contrast-frontloaded": frontloaded}

@@ -14,9 +14,6 @@ from simulatency import (
     average_lagging,
     corresponding_input_indices,
     differentiable_average_lagging,
-    contrast_alignments,
-    contrast_balanced,
-    contrast_frontloaded,
     gen_two_segment,
     gen_chunk_k,
     gen_wait_k,
@@ -25,7 +22,7 @@ from simulatency import (
 )
 from simulatency import StatsError
 
-from test_metrics_time import shifted
+from test_metrics_time import contrast_links, contrast_pair, shifted
 
 
 def criterion(number, description):
@@ -104,12 +101,12 @@ def test_criterion_4_two_segment_shape():
 
 @criterion(5, "two-case fixture: AL and DAL favor the front-loaded case, ATD and EVS do not")
 def test_criterion_5_case_fixture_orderings():
-    case1, case2 = contrast_balanced(), contrast_frontloaded()
+    case1, case2 = contrast_pair()
     inp1, inp2 = step_input(case1), step_input(case2)
     assert average_lagging(inp1) > average_lagging(inp2)
     assert differentiable_average_lagging(inp1) > differentiable_average_lagging(inp2)
     assert atd_timed(case1) < atd_timed(case2)
-    links = contrast_alignments()
+    links = contrast_links()
     assert mean_evs(links[case1.id]) < mean_evs(links[case2.id])
 
 
@@ -131,7 +128,7 @@ def test_criterion_7_atd_oracle_equivalence():
                     expected.append(t - surplus)
                 assert corresponding_input_indices(reads) == tuple(expected)
     for offset in (1.0, 1000.0, 10.0**6):
-        for session in (contrast_balanced(), contrast_frontloaded()):
+        for session in contrast_pair():
             assert atd_timed(shifted(session, offset)) == pytest.approx(
                 atd_timed(session), abs=1e-6
             )

@@ -17,7 +17,7 @@ from simulatency import (
     regroup_tokens,
     subsegment_session,
 )
-from simulatency.core import MAX_SUBTOKENS_PER_SIDE
+from simulatency.core import MAX_SUBTOKENS_PER_SIDE, TokenSide
 
 
 def step_session(session_id, reads, src_len, modality=TEXT_TO_TEXT):
@@ -153,6 +153,16 @@ def full_session(**fields):
         ({"reads": (1, 2.0)}, "s: g(2) = 2.0 is not an integer"),
         ({"target": (TimedToken(start=300, end=400), TimedToken(start=200, end=500))},
          "s: target tokens 1,2 out of order"),
+        # a side given as columns gets the checks a TimedToken makes
+        ({"target": TokenSide(("c",), (30.0,), (1.0,)), "reads": (3,)},
+         "s: target token 1: end 1.0 precedes start 30.0"),
+        ({"source": TokenSide(("a", "b", "c"), (-5.0, 100.0, 200.0), (100.0, 200.0, 300.0))},
+         "s: source token 1: negative start time -5.0"),
+        ({"target": TokenSide(("a", "b"), (300.0, 400.0), (400.0, None))},
+         "s: target token 2: start and end must be set together"),
+        ({"timeline_kind": STEPS,
+          "source": TokenSide(("a", "b", "c"), (None,) * 3, (None, 5.0, None))},
+         "s: source token 2: start and end must be set together"),
     ],
 )
 def test_session_errors_name_the_session_once(fields, message):

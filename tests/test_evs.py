@@ -8,9 +8,10 @@ from simulatency import (
     AlignedPair,
     TraceError,
     dedupe_pairs,
-    contrast_alignments,
     mean_evs,
 )
+
+from test_metrics_time import contrast_links
 
 
 def test_single_verified_pair():
@@ -19,7 +20,7 @@ def test_single_verified_pair():
 
 
 def test_fixture_ordering_between_cases():
-    links = contrast_alignments()
+    links = contrast_links()
     v1 = mean_evs(links["contrast-balanced"], VERIFIED_ONLY)
     v2 = mean_evs(links["contrast-frontloaded"], VERIFIED_ONLY)
     assert v1 == pytest.approx(31000 / 7)

@@ -1,11 +1,11 @@
 """Every golden in ``fixtures/`` is what its run in ``regen_goldens.RUNS`` gives.
 
-Beyond the ``eval`` and ``evs`` reports that ``test_golden.py``,
-``test_mixed_report.py`` and ``test_evs_report.py`` pin, this covers
-``concat`` with each pairing and shift on the speech, mixed and contrast
-fixtures, ``simulate`` with each strategy, and ``correlate`` on two committed
-reports (the exact and the t-approximation p-value): stdout, stderr and exit
-code.
+The runs cover ``eval`` on the speech and mixed fixtures and ``evs`` on the
+alignment fixture (CSV, JSON and stderr), ``concat`` with each pairing and
+shift on the speech, mixed and contrast fixtures, ``simulate`` with each
+strategy, and ``correlate`` on two committed reports (the exact and the
+t-approximation p-value): every file byte for byte, and the exit code.  The
+README's "Fixtures" section says what each fixture covers.
 """
 
 import pytest

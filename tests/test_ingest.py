@@ -9,7 +9,6 @@ import pytest
 from simulatency import (
     TraceError,
     TraceFormatError,
-    contrast_balanced,
     gen_wait_k,
     record_to_session,
     session_to_record,
@@ -17,9 +16,11 @@ from simulatency import (
 from simulatency.cli import main
 from simulatency.trace_io import read_alignments, read_sessions, record_to_alignment
 
+from test_metrics_time import contrast_pair
+
 
 def good_trace():
-    record = session_to_record(contrast_balanced())
+    record = session_to_record(contrast_pair()[0])
     record["spans"] = [{"kind": "decode", "start": 0, "end": 100}]
     return record
 

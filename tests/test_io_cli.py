@@ -22,9 +22,6 @@ from simulatency import (
     atd_steps,
     average_lagging,
     differentiable_average_lagging,
-    contrast_alignments,
-    contrast_balanced,
-    contrast_frontloaded,
     gen_chunk_k,
     gen_wait_k,
     read_alignments,
@@ -33,6 +30,8 @@ from simulatency import (
     session_to_record,
 )
 from simulatency.cli import main
+
+from test_metrics_time import contrast_links, contrast_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -54,7 +53,7 @@ def write_traces(path, sessions):
 # ---------------------------------------------------------------------------
 
 def test_session_record_round_trip(tmp_path):
-    sessions = [gen_wait_k(3, 6, 7), gen_chunk_k(2, 5, 5), contrast_balanced(), contrast_frontloaded()]
+    sessions = [gen_wait_k(3, 6, 7), gen_chunk_k(2, 5, 5), *contrast_pair()]
     path = tmp_path / "traces.jsonl"
     write_traces(path, sessions)
     loaded = read_sessions(str(path))
@@ -105,14 +104,14 @@ def test_missing_g_rejected():
 
 
 def test_timed_record_requires_integer_ms():
-    record = session_to_record(contrast_balanced())
+    record = session_to_record(contrast_pair()[0])
     record["target"][0]["start"] = 1200.5
     with pytest.raises(TraceFormatError, match="integer"):
         record_to_session(record)
 
 
 def test_timed_record_rejects_negative_times():
-    record = session_to_record(contrast_balanced())
+    record = session_to_record(contrast_pair()[0])
     record["source"][0]["start"] = -1
     with pytest.raises(TraceFormatError, match="non-negative"):
         record_to_session(record)
@@ -145,7 +144,7 @@ def test_session_to_record_refuses_times_it_would_truncate(start, end):
 
 def test_session_to_record_refuses_fractional_span_times():
     session = replace(
-        contrast_balanced(), timeline_kind=CA, spans=(ComputationSpan("decode", 0, 2.5),)
+        contrast_pair()[0], timeline_kind=CA, spans=(ComputationSpan("decode", 0, 2.5),)
     )
     with pytest.raises(TraceError) as info:
         session_to_record(session)
@@ -160,11 +159,11 @@ def test_alignment_round_trip(tmp_path):
              "tgt_start": int(link.tgt_start), "verified": link.verified}
             for link in links
         ]}
-        for sentence_id, links in sorted(contrast_alignments().items())
+        for sentence_id, links in sorted(contrast_links().items())
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     loaded = dict(read_alignments(str(path)))
-    assert loaded == contrast_alignments()
+    assert loaded == contrast_links()
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +900,7 @@ def write_exit_code_inputs(tmp_path):
     paths["repeated_id.jsonl"].write_text(good * 2, encoding="utf-8")
     sentence = '{"id": "a1", "links": []}\n'
     paths["repeated_sentence.jsonl"].write_text(sentence * 2, encoding="utf-8")
-    huge = session_to_record(contrast_balanced())
+    huge = session_to_record(contrast_pair()[0])
     huge["target"][-1]["end"] = 10**400
     paths["huge_time.jsonl"].write_text(json.dumps(huge) + "\n", encoding="utf-8")
     link = {"src": 1, "tgt": 1, "src_start": 10**400, "tgt_start": 0}
@@ -992,10 +991,12 @@ MAIN_TWICE = """
 import contextlib, io, json, logging, sys
 from simulatency.cli import main
 
-handled, argv = sys.argv[1] == "handled", sys.argv[2:]
+setup, argv = sys.argv[1], sys.argv[2:]
 root = logging.getLogger()
-if handled:
+if setup == "handled":
     root.addHandler(logging.NullHandler())
+elif setup == "quiet":
+    logging.basicConfig(level=logging.ERROR)
 before = (list(root.handlers), root.level)
 calls = []
 for _ in range(2):
@@ -1004,17 +1005,18 @@ for _ in range(2):
         code = main(argv)
     calls.append([code, err.getvalue()])
 after = (list(root.handlers), root.level)
-package = [type(h).__name__ for h in logging.getLogger("simulatency").handlers]
+logger = logging.getLogger("simulatency")
+package = [logging.getLevelName(logger.level), *(type(h).__name__ for h in logger.handlers)]
 print(json.dumps({"calls": calls, "root kept": after == before, "package": package}))
 """
 
 
-def run_main_twice(tmp_path, handled, *argv):
+def run_main_twice(tmp_path, setup, *argv):
     traces = tmp_path / "traces.jsonl"
     write_traces(traces, [gen_wait_k(k, 4, 4) for k in (1, 2, 3)])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", MAIN_TWICE, "handled" if handled else "bare",
+        [sys.executable, "-c", MAIN_TWICE, setup,
          "eval", str(traces), "--metrics", "al,start_offset", *argv],
         capture_output=True, text=True, env=env, check=True,
     )
@@ -1026,14 +1028,15 @@ def test_main_writes_warnings_to_the_stderr_of_each_call_and_leaves_no_handler(t
         f"WARNING wait{k}-4x4: skipping start_offset (unit-step session has no timed metrics)\n"
         for k in (1, 2, 3)
     )
-    result = run_main_twice(tmp_path, False)
-    assert result == {"calls": [[0, warnings]] * 2, "root kept": True, "package": []}
-    result = run_main_twice(tmp_path, False, "--strict")
+    result = run_main_twice(tmp_path, "bare")
+    assert result == {"calls": [[0, warnings]] * 2, "root kept": True, "package": ["NOTSET"]}
+    result = run_main_twice(tmp_path, "bare", "--strict")
     escalated = "simulatency: error: 3 warnings escalated by --strict\n"
     assert result["calls"] == [[2, warnings + escalated]] * 2
 
 
 def test_main_under_a_root_handler_prints_no_warning_but_counts_them_for_strict(tmp_path):
-    result = run_main_twice(tmp_path, True, "--strict")
     escalated = "simulatency: error: 3 warnings escalated by --strict\n"
-    assert result == {"calls": [[2, escalated]] * 2, "root kept": True, "package": []}
+    for setup in ("handled", "quiet"):  # "quiet": the root's level is ERROR
+        result = run_main_twice(tmp_path, setup, "--strict")
+        assert result == {"calls": [[2, escalated]] * 2, "root kept": True, "package": ["NOTSET"]}

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +17,23 @@ from simulatency import (
     build_nca_timeline,
     differentiable_average_lagging,
     end_offset,
-    contrast_balanced,
-    contrast_frontloaded,
+    read_alignments,
+    read_sessions,
     start_offset,
 )
 from simulatency import concat_sessions
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def contrast_pair():
+    """The balanced and the front-loaded session of the committed contrast fixture."""
+    return read_sessions(str(FIXTURES / "contrast_traces.jsonl"))
+
+
+def contrast_links():
+    """The contrast fixture's word alignment links, keyed by session id."""
+    return dict(read_alignments(str(FIXTURES / "contrast_alignments.jsonl")))
 
 
 def session(src_times, tgt_times, reads, timeline=NCA, spans=None, session_id="s"):
@@ -76,12 +89,12 @@ def test_atd_zero_when_target_mirrors_source():
 
 @pytest.mark.parametrize("offset", [1.0, 1000.0, 10.0**6])
 def test_atd_shift_invariance(offset):
-    for s in (contrast_balanced(), contrast_frontloaded()):
+    for s in contrast_pair():
         assert atd_timed(shifted(s, offset)) == pytest.approx(atd_timed(s))
 
 
 def test_fixture_orderings_between_the_two_cases():
-    c1, c2 = contrast_balanced(), contrast_frontloaded()
+    c1, c2 = contrast_pair()
     i1 = StepMetricInput.from_session(c1)
     i2 = StepMetricInput.from_session(c2)
     assert atd_timed(c2) > atd_timed(c1)
@@ -148,7 +161,7 @@ def test_end_offset_negative_when_output_finishes_early():
 
 
 def test_end_offset_is_last_end_difference():
-    s = contrast_balanced()
+    s = contrast_pair()[0]
     assert end_offset(s) == pytest.approx(s.target[-1].end - s.source[-1].end)
 
 

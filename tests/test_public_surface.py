@@ -5,7 +5,10 @@ Removed, each for want of a caller outside the tests: ``write_sessions``
 (``cli`` writes traces with ``session_to_record``), ``write_alignments`` (no
 command writes alignments), ``subsegment_speech`` (``subsegment_session``
 splits a session's speech chunks), ``TimedToken.timed`` and
-``TimedToken.duration``, and ``+`` on a ``TokenSide``.
+``TimedToken.duration``, ``+`` on a ``TokenSide``, and the contrast-pair
+constructors ``contrast_balanced``, ``contrast_frontloaded`` and
+``contrast_alignments`` (``fixtures/contrast_traces.jsonl`` and
+``fixtures/contrast_alignments.jsonl`` are the one copy of that pair).
 """
 
 import importlib
@@ -16,7 +19,15 @@ import pytest
 import simulatency
 from simulatency.core import TimedToken, TokenSide
 
-REMOVED_FUNCTIONS = ("subsegment_speech", "write_alignments", "write_sessions")
+REMOVED_FUNCTIONS = (
+    "contrast_alignments",
+    "contrast_balanced",
+    "contrast_frontloaded",
+    "subsegment_speech",
+    "write_alignments",
+    "write_sessions",
+)
+MODULES = ("simulatency", "simulatency.core", "simulatency.sim", "simulatency.trace_io")
 
 
 def test_all_lists_every_public_name_the_package_binds():
@@ -29,7 +40,7 @@ def test_all_lists_every_public_name_the_package_binds():
     assert set(simulatency.__all__) == bound
 
 
-@pytest.mark.parametrize("module", ["simulatency", "simulatency.core", "simulatency.trace_io"])
+@pytest.mark.parametrize("module", MODULES)
 @pytest.mark.parametrize("name", REMOVED_FUNCTIONS)
 def test_a_removed_function_cannot_be_imported(module, name):
     assert not hasattr(importlib.import_module(module), name)

@@ -1,5 +1,4 @@
 import csv
-from pathlib import Path
 
 import pytest
 
@@ -7,16 +6,13 @@ from simulatency import (
     STEPS,
     StepMetricInput,
     atd_steps,
-    contrast_alignments,
-    contrast_balanced,
-    contrast_frontloaded,
     gen_two_segment,
     gen_chunk_k,
     gen_wait_k,
-    read_alignments,
-    read_sessions,
 )
 from simulatency.cli import main
+
+from test_metrics_time import contrast_pair
 
 
 def test_wait1_reads():
@@ -115,31 +111,9 @@ def test_two_segment_dal_never_increases(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# shipped fixture files stay in sync with the constructors
+# the committed contrast fixture on the unit-step clock
 # ---------------------------------------------------------------------------
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def test_committed_fixture_traces_match_constructors():
-    sessions = {s.id: s for s in read_sessions(str(FIXTURES / "contrast_traces.jsonl"))}
-    for built in (contrast_balanced(), contrast_frontloaded()):
-        stored = sessions[built.id]
-        assert stored.reads == built.reads
-        assert [(t.start, t.end) for t in stored.target] == [
-            (t.start, t.end) for t in built.target
-        ]
-        assert [(t.start, t.end) for t in stored.source] == [
-            (t.start, t.end) for t in built.source
-        ]
-
-
-def test_committed_fixture_alignments_match_constructors():
-    stored = dict(read_alignments(str(FIXTURES / "contrast_alignments.jsonl")))
-    assert stored == contrast_alignments()
-
-
 def test_fixture_atd_steps_ordering_matches_timed_ordering():
-    i1 = StepMetricInput.from_session(contrast_balanced())
-    i2 = StepMetricInput.from_session(contrast_frontloaded())
+    i1, i2 = (StepMetricInput.from_session(s) for s in contrast_pair())
     assert atd_steps(i2) > atd_steps(i1)

@@ -26,12 +26,13 @@ from simulatency import (
     ComputationSpan,
     SessionTrace,
     TimedToken,
-    contrast_balanced,
     record_to_session,
     session_to_record,
 )
 from simulatency.cli import main
 from simulatency.core import TokenSide
+
+from test_metrics_time import contrast_pair
 
 FUZZ = settings(max_examples=40, deadline=None)
 
@@ -214,7 +215,7 @@ def mutated(draw, record):
 
 
 def good_trace(session_id):
-    record = session_to_record(contrast_balanced())
+    record = session_to_record(contrast_pair()[0])
     record["id"] = session_id
     record["spans"] = [{"kind": "decode", "start": 0, "end": 100}]
     return record

@@ -4,8 +4,10 @@ The runs cover ``eval`` on the speech and mixed fixtures and ``evs`` on the
 alignment fixture (CSV, JSON and stderr), ``concat`` with each pairing and
 shift on the speech, mixed and contrast fixtures, ``simulate`` with each
 strategy, and ``correlate`` on two committed reports (the exact and the
-t-approximation p-value): every file byte for byte, and the exit code.  The
-README's "Fixtures" section says what each fixture covers.
+t-approximation p-value): every file byte for byte, and the exit code.
+``test_golden.py``, ``test_mixed_report.py`` and ``test_evs_report.py``
+also pin the seven ``eval`` and ``evs`` runs.  The README's "Fixtures"
+section says what each fixture covers.
 """
 
 import pytest

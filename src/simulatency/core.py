@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from operator import le
 from typing import Iterable
 
@@ -220,9 +221,23 @@ class SessionTrace:
 
     def _validate_side(self, side_name: str, side: TokenSide) -> None:
         starts, ends = side.start, side.end
-        if self.timeline_kind != STEPS and None in starts:
-            pos = starts.index(None) + 1
-            raise TraceError(f"{side_name} token {pos} lacks times on a timed session")
+        if not len(side.text) == len(starts) == len(ends):
+            raise TraceError(
+                f"{side_name} columns differ in length: "
+                f"text {len(side.text)}, start {len(starts)}, end {len(ends)}"
+            )
+        if self.timeline_kind != STEPS:
+            try:  # a fully timed side in order passes in four column passes; None raises
+                if not starts or (
+                    starts[0] >= 0 and all(map(le, starts, ends))
+                    and all(map(le, starts, starts[1:])) and all(map(le, ends, ends[1:]))
+                ):
+                    return
+            except TypeError:
+                pass
+            if None in starts:
+                pos = starts.index(None) + 1
+                raise TraceError(f"{side_name} token {pos} lacks times on a timed session")
         if starts.count(None) == len(side) == ends.count(None):  # no timed token to check
             return
         # by columns on the common path; token by token to name a fault
@@ -252,49 +267,50 @@ class SessionTrace:
         return self.timeline_kind != STEPS
 
 
-def _tau_bounds(
-    start: float, end: float, tau: float, prev_end: float | None = None, before: int = 0
-) -> tuple[list[float], list[float]]:
-    """Sub-token starts and ends of the speech chunk [start, end): one per ``tau`` ms.
-
-    The pieces are [start + i*tau, start + (i+1)*tau) except the last, which
-    ends exactly at ``end``.  A chunk without duration, one starting before
-    ``prev_end`` (the end of the chunk before it), or one that would take its
-    side, which holds ``before`` sub-tokens already, past
-    ``MAX_SUBTOKENS_PER_SIDE`` is rejected.
-    """
-    if end <= start:
-        raise TraceError(f"segment [{start}, {end}) has no duration")
-    if prev_end is not None and start < prev_end:
-        raise TraceError(f"segment starting at {start} overlaps previous chunk")
-    pieces = (end - start) / tau
-    room = MAX_SUBTOKENS_PER_SIDE - before
-    if not pieces <= room:  # also refuses an infinite or NaN count
-        raise TraceError(
-            f"segment [{start}, {end}) would split into more than {room} sub-tokens of {tau} ms"
-            + (f", the rest of the {MAX_SUBTOKENS_PER_SIDE} of its side" if before else "")
-        )
-    # the tolerance keeps exact multiples of tau from making a zero-length tail;
-    # a chunk that outlasts a multiple by less gives the excess to its last piece
-    count = max(1, math.ceil(pieces - 1e-9))
-    starts = [start + i * tau for i in range(count)]
-    return starts, starts[1:] + [end]
-
-
 def _split_chunks(
-    chunks: Iterable[tuple[float, float]], tau: float
-) -> tuple[TokenSide, list[int]]:
-    """Sub-tokens of consecutive speech chunks, and after each chunk the
-    number of sub-tokens so far."""
-    starts, ends, counts = [], [], []
-    prev_end = None
-    for chunk_start, chunk_end in chunks:
-        piece_starts, piece_ends = _tau_bounds(chunk_start, chunk_end, tau, prev_end, len(starts))
-        starts += piece_starts
-        ends += piece_ends
-        counts.append(len(starts))
-        prev_end = chunk_end
-    return TokenSide((None,) * len(starts), tuple(starts), tuple(ends)), counts
+    starts: Sequence[float], ends: Sequence[float], tau: float, target: bool = False
+) -> tuple[list[float], list[float], list[int]]:
+    """Sub-token starts and ends of consecutive speech chunks, one per ``tau``
+    ms, and each chunk's number of pieces.
+
+    A chunk's pieces are [start + i*tau, start + (i+1)*tau) except the last,
+    which ends exactly at the chunk's end.  Each chunk in turn is rejected if
+    it has no duration, if a source chunk starts before the chunk before it
+    ends, if it would take its side past ``MAX_SUBTOKENS_PER_SIDE``, or if a
+    ``target`` chunk's first piece would come before the last piece so far.
+    """
+    piece_starts, piece_ends, counts = [], [], []
+    for t, (start, end) in enumerate(zip(starts, ends), start=1):
+        if end <= start:
+            raise TraceError(f"segment [{start}, {end}) has no duration")
+        if not target and piece_ends and start < piece_ends[-1]:
+            raise TraceError(f"segment starting at {start} overlaps previous chunk")
+        pieces = (end - start) / tau
+        before = len(piece_starts)
+        room = MAX_SUBTOKENS_PER_SIDE - before
+        if not pieces <= room:  # also refuses an infinite or NaN count
+            raise TraceError(
+                f"segment [{start}, {end}) would split into more than {room} sub-tokens of {tau} ms"
+                + (f", the rest of the {MAX_SUBTOKENS_PER_SIDE} of its side" if before else "")
+            )
+        # the tolerance keeps exact multiples of tau from making a zero-length tail;
+        # a chunk that outlasts a multiple by less gives the excess to its last piece
+        count = max(1, math.ceil(pieces - 1e-9))
+        # pieces within a chunk are in order; target chunks that overlap may not be
+        if target and before and (
+            start < piece_starts[-1] or (end if count == 1 else start + tau) < piece_ends[-1]
+        ):
+            raise TraceError(f"target tokens {t - 1},{t} out of order once split into sub-segments")
+        if count == 1:
+            piece_starts.append(start)
+            piece_ends.append(end)
+        else:
+            split = [start + i * tau for i in range(count)]
+            piece_starts += split
+            piece_ends += split[1:]
+            piece_ends.append(end)
+        counts.append(count)
+    return piece_starts, piece_ends, counts
 
 
 def chunk_ends_from_reads(reads: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -425,27 +441,20 @@ def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
         raise TraceError("no input")
 
     tau = cfg.tau
-    # counts[g-1] = number of sub-tokens covering the first g source chunks
-    source, counts = _split_chunks(zip(s.source.start, s.source.end), tau)
-    reads = [counts[g - 1] for g in s.reads]
+    starts, ends, counts = _split_chunks(s.source.start, s.source.end, tau)
+    source = TokenSide((None,) * len(starts), tuple(starts), tuple(ends))
+    # totals[g-1] = number of sub-tokens covering the first g source chunks
+    totals = list(accumulate(counts))
+    reads = [totals[g - 1] for g in s.reads]
 
     target = s.target
     if s.modality == SPEECH_TO_SPEECH:
-        texts, starts, ends, pieces_reads = [], [], [], []
-        chunks = zip(target.text, target.start, target.end, reads)
-        for t, (text, chunk_start, chunk_end, g) in enumerate(chunks, start=1):
-            piece_starts, piece_ends = _tau_bounds(chunk_start, chunk_end, tau, None, len(starts))
-            # pieces within a chunk are in order; chunks that overlap may not be
-            if starts and (piece_starts[0] < starts[-1] or piece_ends[0] < ends[-1]):
-                raise TraceError(
-                    f"target tokens {t - 1},{t} out of order once split into sub-segments"
-                )
-            n = len(piece_starts)
-            texts += [text if n == 1 else None] * n
-            starts += piece_starts
-            ends += piece_ends
-            pieces_reads += [g] * n
-        target, reads = TokenSide(tuple(texts), tuple(starts), tuple(ends)), pieces_reads
+        starts, ends, counts = _split_chunks(target.start, target.end, tau, target=True)
+        # every piece of a chunk inherits its g; a split chunk's pieces have no text
+        texts = (text if n == 1 else None for text, n in zip(target.text, counts))
+        texts = tuple(chain.from_iterable(map(repeat, texts, counts)))
+        target = TokenSide(texts, tuple(starts), tuple(ends))
+        reads = chain.from_iterable(map(repeat, reads, counts))
 
     return SessionTrace(
         s.id, s.modality, s.timeline_kind, source, target, tuple(reads), s.reference, s.spans

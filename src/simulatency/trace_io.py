@@ -150,7 +150,9 @@ def _parse_side(record: dict, what: str, timed: bool, with_reads=False) -> tuple
 def _parse_span(obj) -> ComputationSpan:
     if not isinstance(obj, dict):
         raise TraceFormatError("spans entry must be an object")
-    kind = str(obj.get("kind", "compute"))
+    kind = obj.get("kind", "compute")
+    if not isinstance(kind, str):
+        raise TraceFormatError("spans kind must be a string")
     start = _int_ms(_require(obj, "start"), "span start")
     end = _int_ms(_require(obj, "end"), "span end")
     return ComputationSpan(kind, start, end)

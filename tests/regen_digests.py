@@ -53,6 +53,12 @@ RUNS = {
         for corpus in ("speech", "text", "pairs")
         for variant, flags in _EVAL_VARIANTS.items()
     },
+    # sub-segmentation at two tau: most speech chunks split into 3 or more
+    # pieces at 120 ms, and mostly stay one piece at 1000 ms
+    **{
+        f"eval_speech_nca_tau{tau}": ("eval", "{speech}", "--timeline", "nca", "--tau", tau, *_EVAL_FILES)
+        for tau in ("120", "1000")
+    },
     "evs_verified_only": ("evs", "{links}", "--mode", "verified-only", "-o", "{csv}"),
     "evs_automatic": ("evs", "{links}", "--mode", "automatic", "-o", "{csv}"),
     "concat_adjacent_relative": ("concat", "{pairs}"),

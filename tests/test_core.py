@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulatency import (
     STEPS,
@@ -163,12 +165,81 @@ def full_session(**fields):
         ({"timeline_kind": STEPS,
           "source": TokenSide(("a", "b", "c"), (None,) * 3, (None, 5.0, None))},
          "s: source token 2: start and end must be set together"),
+        # a text without times would count as a token no metric can time
+        ({"source": TokenSide(("a", "b"), (0.0,), (100.0,)), "reads": (1, 2)},
+         "s: source columns differ in length: text 2, start 1, end 1"),
+        ({"target": TokenSide(("c",), (300.0, 400.0), (400.0, 500.0)), "reads": (3,)},
+         "s: target columns differ in length: text 1, start 2, end 2"),
     ],
 )
 def test_session_errors_name_the_session_once(fields, message):
     with pytest.raises(TraceError) as info:
         full_session(**fields)
     assert str(info.value) == message
+
+
+def per_token_fault(side_name, side, timed):
+    """The first fault of one side as the per-token loops name it, or None:
+    the reference for the column checks ``SessionTrace`` runs first."""
+    text, starts, ends = side.text, side.start, side.end
+    if not len(text) == len(starts) == len(ends):
+        return (f"{side_name} columns differ in length: "
+                f"text {len(text)}, start {len(starts)}, end {len(ends)}")
+    if timed and None in starts:
+        return f"{side_name} token {starts.index(None) + 1} lacks times on a timed session"
+    for pos, (start, end) in enumerate(zip(starts, ends), start=1):
+        if (start is None) != (end is None):
+            return f"{side_name} token {pos}: start and end must be set together"
+        if start is not None and start < 0:
+            return f"{side_name} token {pos}: negative start time {start}"
+        if start is not None and end < start:
+            return f"{side_name} token {pos}: end {end} precedes start {start}"
+    timed_tokens = [(pos, s, e) for pos, (s, e) in enumerate(zip(starts, ends), 1) if s is not None]
+    for (last, prev_start, prev_end), (pos, start, end) in zip(timed_tokens, timed_tokens[1:]):
+        if start < prev_start or end < prev_end:
+            return f"{side_name} tokens {last},{pos} out of order"
+    return None
+
+
+side_times = st.sampled_from([None, -1.0, math.nan, 0.0, 1.0, 2.0, 2.0, 5.0])
+
+
+@st.composite
+def token_sides(draw):
+    """Sides of up to 6 tokens: in order; each token valid but the side
+    perhaps out of order; or with times drawn at random (None, negative,
+    NaN, equal and decreasing ones); and now and then a column one entry
+    longer or shorter than the others."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["ordered", "tokens valid", "random"]))
+    if kind == "ordered":
+        bounds = sorted(draw(st.lists(st.integers(0, 9), min_size=2 * n, max_size=2 * n)))
+        starts, ends = [float(b) for b in bounds[::2]], [float(b) for b in bounds[1::2]]
+    elif kind == "tokens valid":
+        starts = [float(b) for b in draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))]
+        durations = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        ends = [start + d for start, d in zip(starts, durations)]
+    else:
+        starts, ends = (draw(st.lists(side_times, min_size=n, max_size=n)) for _ in range(2))
+    lengths = draw(st.sampled_from([(n, n, n)] * 8 + [(n + 1, n, n), (n, n + 1, n), (n, n, n + 1)]))
+    starts += [1.0] * (lengths[1] - n)
+    ends += [1.0] * (lengths[2] - n)
+    return TokenSide(("w",) * lengths[0], tuple(starts), tuple(ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(token_sides(), st.sampled_from(["ca", "nca", STEPS]), st.booleans())
+def test_side_checks_by_columns_equal_the_per_token_loop(side, timeline, as_target):
+    # the side under test is the source, or the target of a one-token source
+    other = TokenSide(("x",), (0.0,), (0.0,))
+    source, target = (other, side) if as_target else (side, TokenSide())
+    try:
+        SessionTrace("v", SPEECH_TO_SPEECH, timeline, source, target, (1,) * len(target))
+        got = None
+    except TraceError as exc:
+        got = str(exc)
+    fault = per_token_fault("target" if as_target else "source", side, timeline != STEPS)
+    assert got == (None if fault is None else f"v: {fault}")
 
 
 # ---------------------------------------------------------------------------

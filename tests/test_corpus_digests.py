@@ -1,7 +1,8 @@
 """The outputs of ``regen_digests.RUNS`` are those ``fixtures/corpus_digests.json`` pins.
 
 ``eval`` on every timeline, with ``char:2`` and with a ``--strict`` metric
-subset, on the speech, text and concat corpora; ``evs`` in both modes; and
+subset, on the speech, text and concat corpora, and with ``--timeline nca``
+at two tau on the speech corpus; ``evs`` in both modes; and
 ``concat`` two ways: stdout, stderr, exit code and every report file, as
 sha256, over seed-1 corpora from ``bench/gen.py``.
 """

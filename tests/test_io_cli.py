@@ -853,6 +853,36 @@ def test_cli_eval_refuses_a_unit_step_side_out_of_order_across_untimed_tokens(tm
     assert captured.err == "simulatency: error: line 1: u: source tokens 1,3 out of order\n"
 
 
+def span_record(session_id, **span):
+    """A one-token ca record whose one span is ``span`` with times added."""
+    return {
+        "id": session_id, "modality": "speech-to-text", "timeline": "ca",
+        "source": [{"text": "x1", "start": 0, "end": 300}],
+        "target": [{"text": "y1", "start": 500, "end": 600, "g": 1}],
+        "spans": [{**span, "start": 300, "end": 500}],
+    }
+
+
+@pytest.mark.parametrize("kind", [None, 7, ["decode"]])
+def test_cli_concat_refuses_a_span_kind_that_is_not_a_string(tmp_path, capsys, kind):
+    traces = tmp_path / "spans.jsonl"
+    records = [span_record("a", kind="decode"), span_record("b", kind=kind)]
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["concat", str(traces)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "simulatency: error: line 2: spans kind must be a string\n"
+
+
+def test_cli_concat_writes_an_absent_span_kind_as_compute(tmp_path, capsys):
+    traces = tmp_path / "spans.jsonl"
+    records = [span_record("a", kind="decode"), span_record("b")]
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["concat", str(traces)]) == 0
+    [joined] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [span["kind"] for span in joined["spans"]] == ["decode", "compute"]
+
+
 def test_cli_concat_single_session_is_data_error(tmp_path, capsys):
     traces = tmp_path / "traces.jsonl"
     write_traces(traces, [gen_wait_k(1, 2, 2)])

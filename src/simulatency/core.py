@@ -51,6 +51,8 @@ def _check_times(start: float | None, end: float | None) -> None:
             raise TraceError(f"negative start time {start}")
         if end < start:
             raise TraceError(f"end {end} precedes start {start}")
+        if start != start or end != end:
+            raise TraceError(f"time is NaN: start {start}, end {end}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ class ComputationSpan:
     end: float  # ms
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
+        if not 0 <= self.start <= self.end:  # also refuses NaN
             raise TraceError(f"invalid computation span [{self.start}, {self.end})")
 
 

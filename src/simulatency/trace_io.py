@@ -21,6 +21,7 @@ word-alignment links::
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from operator import le
 from typing import Iterator
 
@@ -92,32 +93,38 @@ def _int_column(objs: list, key: str, ms: bool = False) -> list | tuple | None:
     return None
 
 
-def _side_columns(objs: list, timed: bool, with_reads: bool) -> tuple[TokenSide, list] | None:
+def _side_columns(
+    objs: list, timed: bool, with_reads: bool, shared: dict | None = None
+) -> tuple[TokenSide, list] | None:
     """``_parse_side`` by columns: str or no text, plain-int ``g``, and
-    plain-int times with ``0 <= start <= end`` if ``timed``, else none."""
+    plain-int times with ``0 <= start <= end`` if ``timed``, else none;
+    each text is its first copy in ``shared``."""
     if set(map(type, objs)) != {dict}:
         return None
     reads = _int_column(objs, "g") if with_reads else []
-    texts = [obj.get("text") for obj in objs]
+    texts = list(map(dict.get, objs, repeat("text")))
     if reads is None or not set(map(type, texts)) <= {str, type(None)}:
         return None
     if not timed:
-        times = [obj.get("start") for obj in objs] + [obj.get("end") for obj in objs]
-        if times.count(None) != len(times):
+        if not {"start", "end"}.isdisjoint(chain.from_iterable(objs)):  # even a null one
             return None
-        untimed = (None,) * len(objs)
-        return TokenSide(tuple(texts), untimed, untimed), reads
-    starts, ends = _int_column(objs, "start", ms=True), _int_column(objs, "end", ms=True)
-    if starts is None or ends is None or min(starts) < 0 or not all(map(le, starts, ends)):
-        return None
-    return TokenSide(tuple(texts), starts, ends), reads
+        starts = ends = (None,) * len(objs)
+    else:
+        starts, ends = _int_column(objs, "start", ms=True), _int_column(objs, "end", ms=True)
+        if starts is None or ends is None or min(starts) < 0 or not all(map(le, starts, ends)):
+            return None
+    share = ({} if shared is None else shared).setdefault
+    return TokenSide(tuple(map(share, texts, texts)), starts, ends), reads
 
 
-def _parse_side(record: dict, what: str, timed: bool, with_reads=False) -> tuple[TokenSide, list]:
-    """The ``what`` entries of a record as columns, and each ``g`` if
-    ``with_reads``; read one by one, which names a fault, if not by columns."""
+def _parse_side(
+    record: dict, what: str, timed: bool, shared: dict, with_reads=False
+) -> tuple[TokenSide, list]:
+    """The ``what`` entries of a record as columns, each text its first copy
+    in ``shared``, and each ``g`` if ``with_reads``; read one by one, which
+    names a fault, if not by columns."""
     objs = _require_list(record, what)
-    columns = _side_columns(objs, timed, with_reads)
+    columns = _side_columns(objs, timed, with_reads, shared)
     if columns is not None:
         return columns
     texts, starts, ends, reads = [], [], [], []
@@ -141,13 +148,13 @@ def _parse_side(record: dict, what: str, timed: bool, with_reads=False) -> tuple
             if isinstance(g, bool) or not isinstance(g, int):
                 raise TraceFormatError("target g must be an integer")
             reads.append(g)
-        texts.append(text)
+        texts.append(shared.setdefault(text, text) if type(text) is str else text)
         starts.append(start)
         ends.append(end)
     return TokenSide(tuple(texts), tuple(starts), tuple(ends)), reads
 
 
-def _parse_span(obj) -> ComputationSpan:
+def _parse_span(obj, shared: dict) -> ComputationSpan:
     if not isinstance(obj, dict):
         raise TraceFormatError("spans entry must be an object")
     kind = obj.get("kind", "compute")
@@ -155,7 +162,7 @@ def _parse_span(obj) -> ComputationSpan:
         raise TraceFormatError("spans kind must be a string")
     start = _int_ms(_require(obj, "start"), "span start")
     end = _int_ms(_require(obj, "end"), "span end")
-    return ComputationSpan(kind, start, end)
+    return ComputationSpan(shared.setdefault(kind, kind) if type(kind) is str else kind, start, end)
 
 
 def _record_id(record) -> str:
@@ -168,8 +175,13 @@ def _record_id(record) -> str:
     return record_id
 
 
-def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
-    """Build a validated session from one decoded trace record."""
+def record_to_session(record: dict, lineno: int | None = None, shared: dict | None = None) -> SessionTrace:
+    """Build a validated session from one decoded trace record.
+
+    Each token text and span kind that is a plain ``str`` is replaced by
+    its first copy in ``shared``, which keeps the new ones: one dict for a
+    whole file keeps one ``str`` for each of its distinct texts."""
+    shared = {} if shared is None else shared
     try:
         session_id = _record_id(record)
         modality = _require(record, "modality")
@@ -178,8 +190,8 @@ def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
             raise TraceFormatError(f"unknown timeline {timeline!r}")
         timed = timeline != STEPS
 
-        source, _ = _parse_side(record, "source", timed)
-        target, reads = _parse_side(record, "target", timed, with_reads=True)
+        source, _ = _parse_side(record, "source", timed, shared)
+        target, reads = _parse_side(record, "target", timed, shared, with_reads=True)
 
         reference = record.get("reference")
         if reference is not None and not isinstance(reference, str):
@@ -187,7 +199,7 @@ def record_to_session(record: dict, lineno: int | None = None) -> SessionTrace:
 
         spans = None
         if "spans" in record:
-            spans = tuple(_parse_span(obj) for obj in _require_list(record, "spans"))
+            spans = tuple(_parse_span(obj, shared) for obj in _require_list(record, "spans"))
 
         return SessionTrace(
             id=session_id,
@@ -300,7 +312,8 @@ def _read_records(path: str, parse) -> list:
 
 
 def read_sessions(path: str) -> list[SessionTrace]:
-    return _read_records(path, record_to_session)
+    shared: dict = {}  # this file's token texts and span kinds, so no table outlives the read
+    return _read_records(path, lambda record, lineno: record_to_session(record, lineno, shared))
 
 
 def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, AlignmentLinks]:

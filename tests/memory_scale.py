@@ -1,0 +1,113 @@
+"""Peak RSS of ``eval``, ``concat`` and ``evs`` at two corpus sizes.
+
+    python3 tests/memory_scale.py [--sizes 500 2000] [--seed 7]
+
+Writes ``bench/gen.py`` corpora of each size (records, ``--sizes``) to a
+temporary directory, runs each command below once on each corpus in a fresh
+interpreter on the program in ``src/``, with stdout discarded, and prints
+the child's peak RSS (``ru_maxrss`` from ``os.wait4``) and wall time:
+
+- ``eval`` on ``eval_text_steps``;
+- ``eval --timeline nca --json`` on ``eval_speech_nca``;
+- ``concat --pairing adjacent`` on ``eval_text_steps``;
+- ``evs`` on ``evs_links``;
+- ``eval`` and ``concat`` on ``eval_text_steps`` with every token text made
+  distinct, the corpus in which no word repeats.
+
+A peak includes the interpreter's start-up size, and is at least this
+script's own RSS at the fork, so the script holds no corpus in memory:
+``bench/gen.py`` writes each one in a process of its own.  pytest does not
+collect this file, and nothing under ``bench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GEN = os.path.join(ROOT, "bench", "gen.py")
+SHIM = "import sys; from simulatency.cli import main; sys.exit(main())"
+
+# (label, corpus, CLI arguments before the corpus path)
+RUNS = (
+    ("eval", "text", ["eval"]),
+    ("eval --timeline nca --json", "speech", ["eval", "--timeline", "nca", "--json", os.devnull]),
+    ("concat --pairing adjacent", "text", ["concat", "--pairing", "adjacent"]),
+    ("evs", "links", ["evs"]),
+    ("eval", "distinct text", ["eval"]),
+    ("concat --pairing adjacent", "distinct text", ["concat", "--pairing", "adjacent"]),
+)
+
+WORKLOADS = {"text": "eval_text_steps", "speech": "eval_speech_nca", "links": "evs_links"}
+
+
+def write_distinct_texts(path: str, out: str) -> None:
+    """The corpus at ``path`` with a running number appended to every token
+    text, written to ``out`` a record at a time."""
+    n = 0
+    with open(path, encoding="utf-8") as src, open(out, "w", encoding="utf-8") as dst:
+        for line in src:
+            record = json.loads(line)
+            for entry in record["source"] + record["target"]:
+                n += 1
+                entry["text"] = f"{entry['text']}.{n}"
+            dst.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def write_corpora(directory: str, size: int, seed: int) -> dict[str, str]:
+    paths = {}
+    for corpus, workload in WORKLOADS.items():
+        out = os.path.join(directory, f"{workload}_{size}")
+        subprocess.run(
+            [sys.executable, GEN, "--workload", workload, "--seed", str(seed), "--size", str(size),
+             "--dir", out], check=True, stdout=subprocess.DEVNULL,
+        )
+        paths[corpus] = os.path.join(out, "corpus.jsonl")
+    paths["distinct text"] = os.path.join(directory, f"distinct_text_{size}.jsonl")
+    write_distinct_texts(paths["text"], paths["distinct text"])
+    return paths
+
+
+def peak_rss(argv: list[str]) -> tuple[float, float]:
+    """Peak RSS in MiB and wall time in seconds of one CLI run; raises on a non-zero exit."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SHIM, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+    )
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{argv}: exit {proc.returncode}: {stderr.decode(errors='replace')[-500:]}")
+    return usage.ru_maxrss / 1024, time.perf_counter() - start
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", type=int, nargs=2, default=[500, 2000], metavar="N")
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    print(f"{'command':<28} {'corpus':<14} {'records':>7} {'peak MiB':>9} {'wall s':>7}")
+    rows = []
+    with tempfile.TemporaryDirectory() as directory:
+        for size in args.sizes:
+            paths = write_corpora(directory, size, args.seed)
+            for label, corpus, cli in RUNS:
+                rss, wall = peak_rss([*cli, paths[corpus]])
+                print(f"{label:<28} {corpus:<14} {size:>7} {rss:>9.1f} {wall:>7.2f}", flush=True)
+                rows.append({"command": label, "corpus": corpus, "records": size,
+                             "peak_rss_mib": round(rss, 1), "wall_s": round(wall, 2)})
+    print(json.dumps({"seed": args.seed, "python": sys.version.split()[0], "rows": rows}))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,6 +9,7 @@ from simulatency import (
     STEPS,
     TEXT_TO_TEXT,
     SPEECH_TO_SPEECH,
+    ComputationSpan,
     SessionTrace,
     SubSegmentConfig,
     TimedToken,
@@ -61,6 +62,20 @@ def test_token_end_before_start_rejected():
 def test_token_times_must_come_together():
     with pytest.raises(TraceError):
         TimedToken(start=500)
+
+
+@pytest.mark.parametrize("start, end", [(math.nan, math.nan), (0.0, math.nan), (math.nan, 5.0)])
+def test_token_refuses_nan_times(start, end):
+    with pytest.raises(TraceError) as info:
+        TimedToken("x", start, end)
+    assert str(info.value) == f"time is NaN: start {start}, end {end}"
+
+
+@pytest.mark.parametrize("start, end", [(math.nan, 1.0), (0.0, math.nan)])
+def test_span_refuses_nan_times(start, end):
+    with pytest.raises(TraceError) as info:
+        ComputationSpan("decode", start, end)
+    assert str(info.value) == f"invalid computation span [{start}, {end})"
 
 
 def test_session_rejects_non_monotone_reads():
@@ -170,6 +185,8 @@ def full_session(**fields):
          "s: source columns differ in length: text 2, start 1, end 1"),
         ({"target": TokenSide(("c",), (300.0, 400.0), (400.0, 500.0)), "reads": (3,)},
          "s: target columns differ in length: text 1, start 2, end 2"),
+        ({"source": TokenSide(("a", "b", "c"), (0.0, math.nan, 200.0), (100.0, math.nan, 300.0))},
+         "s: source token 2: time is NaN: start nan, end nan"),
     ],
 )
 def test_session_errors_name_the_session_once(fields, message):
@@ -194,6 +211,8 @@ def per_token_fault(side_name, side, timed):
             return f"{side_name} token {pos}: negative start time {start}"
         if start is not None and end < start:
             return f"{side_name} token {pos}: end {end} precedes start {start}"
+        if start is not None and (math.isnan(start) or math.isnan(end)):
+            return f"{side_name} token {pos}: time is NaN: start {start}, end {end}"
     timed_tokens = [(pos, s, e) for pos, (s, e) in enumerate(zip(starts, ends), 1) if s is not None]
     for (last, prev_start, prev_end), (pos, start, end) in zip(timed_tokens, timed_tokens[1:]):
         if start < prev_start or end < prev_end:

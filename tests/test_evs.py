@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -87,6 +88,12 @@ def test_bad_indices_rejected():
         AlignedPair(0, 1, 0, 1)
     with pytest.raises(TraceError):
         AlignedPair(1, 1, -5, 1)
+
+
+@pytest.mark.parametrize("src_start, tgt_start", [(math.nan, 1.0), (0.0, math.nan)])
+def test_nan_start_rejected(src_start, tgt_start):
+    with pytest.raises(TraceError, match="^alignment start times must be non-negative$"):
+        AlignedPair(1, 1, src_start, tgt_start)
 
 
 @pytest.mark.parametrize("flags", [(True, False), (False, True), (False, False)])

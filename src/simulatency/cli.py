@@ -146,9 +146,10 @@ def _same_file(a: str, b: str) -> bool:
 
 def _write_records(path: str | None, sessions: list[SessionTrace]) -> None:
     """JSONL records of ``sessions`` to ``path`` (stdout when None or "-")."""
+    encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode  # fresh: no cycles
     with _output(path) as out:
         for session in sessions:
-            out.write(json.dumps(session_to_record(session), ensure_ascii=False) + "\n")
+            out.write(encode(session_to_record(session)) + "\n")
 
 
 # ---------------------------------------------------------------------------

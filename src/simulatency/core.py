@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import le
+from operator import add, le
 from typing import Iterable
 
 TEXT_TO_TEXT = "text-to-text"
@@ -371,9 +371,17 @@ def regroup_tokens(
     return TokenSide(tuple(texts), tuple(starts), tuple(ends)), tuple(new_reads)
 
 
+def _shift(column: tuple, offset: float) -> tuple:
+    """Each time in ``column`` moved by ``offset``; None stays None."""
+    try:
+        return tuple(map(add, column, repeat(offset)))
+    except TypeError:  # the column holds None
+        return tuple(t if t is None else t + offset for t in column)
+
+
 def _join_sides(a: TokenSide, b: TokenSide, offset: float) -> TokenSide:
     """``a`` followed by ``b``, b's times moved by ``offset``."""
-    start, end = (tuple(t if t is None else t + offset for t in col) for col in (b.start, b.end))
+    start, end = _shift(b.start, offset), _shift(b.end, offset)
     return TokenSide(a.text + b.text, a.start + start, a.end + end)
 
 
@@ -396,13 +404,16 @@ def concat_sessions(
         raise ValueError(f"unknown concat mode {mode!r}")
 
     offset = 0.0
-    if mode == "relative":  # a unit-step token's times are optional
-        ends = (t for side in (a.source, a.target) for t in side.end if t is not None)
-        offset = max(ends, default=0.0)
+    if mode == "relative":
+        ends = (a.source.end, a.target.end, (0.0,))  # ends are non-negative: 0.0 is the max of none
+        try:
+            offset = max(chain(*ends))
+        except TypeError:  # a unit-step token's times are optional
+            offset = max(t for t in chain(*ends) if t is not None)
 
     source = _join_sides(a.source, b.source, offset)
     target = _join_sides(a.target, b.target, offset)
-    reads = a.reads + tuple(g + a.src_len for g in b.reads)
+    reads = a.reads + tuple(map(add, b.reads, repeat(a.src_len)))
 
     reference = None
     if a.reference is not None and b.reference is not None:

@@ -23,7 +23,7 @@ EVS_MODES = (VERIFIED_ONLY, AUTOMATIC)
 
 def _check_link(src_index: int, tgt_index: int, src_start: float, tgt_start: float) -> None:
     """A link's indices are 1-based and its start times non-negative."""
-    if src_index < 1 or tgt_index < 1:
+    if not (src_index >= 1 and tgt_index >= 1):  # also refuses NaN
         raise TraceError(f"alignment indices must be >= 1, got ({src_index}, {tgt_index})")
     if not (src_start >= 0 and tgt_start >= 0):  # also refuses NaN
         raise TraceError("alignment start times must be non-negative")

@@ -37,8 +37,20 @@ from .core import (
 from .evs import AlignmentLinks, _check_link
 
 
+# the size past which a shared table of token texts and span kinds keeps no new
+# ones: the texts it holds are still shared, but words that never repeat are not
+MAX_SHARED_TEXTS = 65_536
+
+
 class TraceFormatError(TraceError):
     """A trace or alignment file does not match the wire format."""
+
+
+def _sharer(shared: dict):
+    """``shared.setdefault`` while ``shared`` is below its bound, else ``shared.get``.
+
+    Taken once for a side, so a table passes the bound by at most one side."""
+    return shared.setdefault if len(shared) < MAX_SHARED_TEXTS else shared.get
 
 
 def _context(lineno: int | None) -> str:
@@ -113,7 +125,7 @@ def _side_columns(
         starts, ends = _int_column(objs, "start", ms=True), _int_column(objs, "end", ms=True)
         if starts is None or ends is None or min(starts) < 0 or not all(map(le, starts, ends)):
             return None
-    share = ({} if shared is None else shared).setdefault
+    share = _sharer({} if shared is None else shared)
     return TokenSide(tuple(map(share, texts, texts)), starts, ends), reads
 
 
@@ -128,6 +140,7 @@ def _parse_side(
     if columns is not None:
         return columns
     texts, starts, ends, reads = [], [], [], []
+    share = _sharer(shared)
     for pos, obj in enumerate(objs, start=1):
         if not isinstance(obj, dict):
             raise TraceFormatError(f"{what} entry must be an object")
@@ -148,7 +161,7 @@ def _parse_side(
             if isinstance(g, bool) or not isinstance(g, int):
                 raise TraceFormatError("target g must be an integer")
             reads.append(g)
-        texts.append(shared.setdefault(text, text) if type(text) is str else text)
+        texts.append(share(text, text) if type(text) is str else text)
         starts.append(start)
         ends.append(end)
     return TokenSide(tuple(texts), tuple(starts), tuple(ends)), reads
@@ -162,7 +175,7 @@ def _parse_span(obj, shared: dict) -> ComputationSpan:
         raise TraceFormatError("spans kind must be a string")
     start = _int_ms(_require(obj, "start"), "span start")
     end = _int_ms(_require(obj, "end"), "span end")
-    return ComputationSpan(shared.setdefault(kind, kind) if type(kind) is str else kind, start, end)
+    return ComputationSpan(_sharer(shared)(kind, kind) if type(kind) is str else kind, start, end)
 
 
 def _record_id(record) -> str:
@@ -178,9 +191,9 @@ def _record_id(record) -> str:
 def record_to_session(record: dict, lineno: int | None = None, shared: dict | None = None) -> SessionTrace:
     """Build a validated session from one decoded trace record.
 
-    Each token text and span kind that is a plain ``str`` is replaced by
-    its first copy in ``shared``, which keeps the new ones: one dict for a
-    whole file keeps one ``str`` for each of its distinct texts."""
+    Each token text and span kind that is a plain ``str`` is replaced by its
+    first copy in ``shared``, which keeps new ones up to MAX_SHARED_TEXTS:
+    one dict for a whole file keeps one ``str`` for each text it holds."""
     shared = {} if shared is None else shared
     try:
         session_id = _record_id(record)
@@ -240,12 +253,26 @@ def session_to_record(s: SessionTrace) -> dict:
             obj["g"] = g
         return obj
 
+    def token_objs(side: TokenSide, reads=()) -> list[dict]:
+        # by columns for a side with texts timed in integer ms; others token by token
+        texts, starts, ends = side.text, side.start, side.end
+        try:  # None, or a time that is not a float, raises TypeError
+            timed = None not in texts and all(map(float.is_integer, chain(starts, ends)))
+        except TypeError:
+            timed = False
+        if timed:
+            rows = zip(texts, map(int, starts), map(int, ends), reads or repeat(None))
+            if reads:
+                return [{"text": t, "start": a, "end": b, "g": g} for t, a, b, g in rows]
+            return [{"text": t, "start": a, "end": b} for t, a, b, _ in rows]
+        return [token_obj(*t) for t in zip(texts, starts, ends, reads or repeat(None))]
+
     record: dict = {
         "id": s.id,
         "modality": s.modality,
         "timeline": s.timeline_kind,
-        "source": [token_obj(*t) for t in zip(s.source.text, s.source.start, s.source.end)],
-        "target": [token_obj(*t) for t in zip(s.target.text, s.target.start, s.target.end, s.reads)],
+        "source": token_objs(s.source),
+        "target": token_objs(s.target, s.reads),
     }
     if s.reference is not None:
         record["reference"] = s.reference

@@ -10,6 +10,9 @@ the child's peak RSS (``ru_maxrss`` from ``os.wait4``) and wall time:
 - ``eval`` on ``eval_text_steps``;
 - ``eval --timeline nca --json`` on ``eval_speech_nca``;
 - ``concat --pairing adjacent`` on ``eval_text_steps``;
+- ``concat --pairing adjacent --shift relative`` on ``concat_write`` (timed
+  speech pairs with spans; ``bench/gen.py`` sizes it in pairs, so it is
+  asked for half the records);
 - ``evs`` on ``evs_links``;
 - ``eval`` and ``concat`` on ``eval_text_steps`` with every token text made
   distinct, the corpus in which no word repeats.
@@ -39,12 +42,15 @@ RUNS = (
     ("eval", "text", ["eval"]),
     ("eval --timeline nca --json", "speech", ["eval", "--timeline", "nca", "--json", os.devnull]),
     ("concat --pairing adjacent", "text", ["concat", "--pairing", "adjacent"]),
+    ("concat --pairing adjacent --shift relative", "pairs",
+     ["concat", "--pairing", "adjacent", "--shift", "relative"]),
     ("evs", "links", ["evs"]),
     ("eval", "distinct text", ["eval"]),
     ("concat --pairing adjacent", "distinct text", ["concat", "--pairing", "adjacent"]),
 )
 
-WORKLOADS = {"text": "eval_text_steps", "speech": "eval_speech_nca", "links": "evs_links"}
+WORKLOADS = {"text": "eval_text_steps", "speech": "eval_speech_nca", "links": "evs_links",
+             "pairs": "concat_write"}
 
 
 def write_distinct_texts(path: str, out: str) -> None:
@@ -65,8 +71,9 @@ def write_corpora(directory: str, size: int, seed: int) -> dict[str, str]:
     for corpus, workload in WORKLOADS.items():
         out = os.path.join(directory, f"{workload}_{size}")
         subprocess.run(
-            [sys.executable, GEN, "--workload", workload, "--seed", str(seed), "--size", str(size),
-             "--dir", out], check=True, stdout=subprocess.DEVNULL,
+            [sys.executable, GEN, "--workload", workload, "--seed", str(seed),
+             "--size", str(size // 2 if workload == "concat_write" else size), "--dir", out],
+            check=True, stdout=subprocess.DEVNULL,
         )
         paths[corpus] = os.path.join(out, "corpus.jsonl")
     paths["distinct text"] = os.path.join(directory, f"distinct_text_{size}.jsonl")
@@ -95,14 +102,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", type=int, nargs=2, default=[500, 2000], metavar="N")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    print(f"{'command':<28} {'corpus':<14} {'records':>7} {'peak MiB':>9} {'wall s':>7}")
+    print(f"{'command':<42} {'corpus':<14} {'records':>7} {'peak MiB':>9} {'wall s':>7}")
     rows = []
     with tempfile.TemporaryDirectory() as directory:
         for size in args.sizes:
             paths = write_corpora(directory, size, args.seed)
             for label, corpus, cli in RUNS:
                 rss, wall = peak_rss([*cli, paths[corpus]])
-                print(f"{label:<28} {corpus:<14} {size:>7} {rss:>9.1f} {wall:>7.2f}", flush=True)
+                print(f"{label:<42} {corpus:<14} {size:>7} {rss:>9.1f} {wall:>7.2f}", flush=True)
                 rows.append({"command": label, "corpus": corpus, "records": size,
                              "peak_rss_mib": round(rss, 1), "wall_s": round(wall, 2)})
     print(json.dumps({"seed": args.seed, "python": sys.version.split()[0], "rows": rows}))

@@ -96,6 +96,13 @@ def test_nan_start_rejected(src_start, tgt_start):
         AlignedPair(1, 1, src_start, tgt_start)
 
 
+@pytest.mark.parametrize("src_index, tgt_index", [(math.nan, 1), (1, math.nan)])
+def test_nan_index_rejected(src_index, tgt_index):
+    message = rf"^alignment indices must be >= 1, got \({src_index}, {tgt_index}\)$"
+    with pytest.raises(TraceError, match=message):
+        AlignedPair(src_index, tgt_index, 0.0, 500.0, True)
+
+
 @pytest.mark.parametrize("flags", [(True, False), (False, True), (False, False)])
 def test_dedupe_keys_links_on_indices_and_times_not_the_verified_flag(flags):
     # one link listed twice with different flags, then a distinct link

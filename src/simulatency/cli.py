@@ -26,6 +26,7 @@ from .core import (
     NCA,
     STEPS,
     TEXT_TO_TEXT,
+    TIMELINES,
     SessionTrace,
     SubSegmentConfig,
     TokenGranularity,
@@ -203,6 +204,16 @@ def _in_ms(name: str, kind: str, timeline: str | None) -> bool:
     return timed is not None and (step is None or STEPS not in (kind, timeline))
 
 
+def _default_metrics(on_steps: bool, has_reference: bool) -> list[str]:
+    """What a session scores without --metrics: every metric its timeline (unit
+    steps if ``on_steps``) has a kernel for, less NEEDS_REFERENCE without a reference."""
+    return [
+        name
+        for name, (step, timed) in METRICS.items()
+        if (step if on_steps else timed) is not None and (has_reference or name not in NEEDS_REFERENCE)
+    ]
+
+
 def _eval_session(
     session: SessionTrace,
     metrics: list[str] | None,
@@ -210,14 +221,8 @@ def _eval_session(
     gran: TokenGranularity,
     subseg: SubSegmentConfig,
 ) -> dict[str, float]:
-    if metrics is None:  # every metric the session's timeline has a kernel for
-        on_steps = STEPS in (session.timeline_kind, timeline)
-        metrics = [
-            name
-            for name, (step, timed) in METRICS.items()
-            if (step if on_steps else timed) is not None
-            and (session.reference is not None or name not in NEEDS_REFERENCE)
-        ]
+    if metrics is None:
+        metrics = _default_metrics(STEPS in (session.timeline_kind, timeline), session.reference is not None)
     values: dict[str, float] = {}
     step_inp: StepMetricInput | None = None
     timed: SessionTrace | str | None = None
@@ -242,16 +247,12 @@ def _eval_session(
     return values
 
 
-def _cells(
-    values: dict[str, float], columns: list[str], kinds: Iterable[str], timeline: str | None
-) -> list[str]:
-    """Report cells: one decimal where sessions of every timeline in ``kinds``
-    score the metric in ms, else full precision."""
+def _cells(values: dict[str, float], columns: list[str], in_ms: Iterable[bool]) -> list[str]:
+    """Report cells: one decimal in a column whose ``in_ms`` flag is set, else
+    full precision; empty where ``values`` has none."""
     return [
-        (f"{values[m]:.1f}" if all(_in_ms(m, k, timeline) for k in kinds) else repr(values[m]))
-        if m in values
-        else ""
-        for m in columns
+        (f"{values[m]:.1f}" if ms else repr(values[m])) if m in values else ""
+        for m, ms in zip(columns, in_ms)
     ]
 
 
@@ -286,26 +287,46 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not sessions:
         raise TraceError(f"{args.traces}: no sessions")
 
+    # The columns are the metrics scored, or all of --metrics; they are final once
+    # every metric that some session may score has been scored.
+    scored = set(metrics or ())
+    may_score = set(scored)
+    if metrics is None:  # the default set of each kind of session, built once
+        keys = {(STEPS in (s.timeline_kind, args.timeline), s.reference is not None) for s in sessions}
+        may_score.update(m for key in keys for m in _default_metrics(*key))
     rows = []  # (head, values): the row's _HEAD_FIELDS cells and its metric values
-    for session in sessions:
-        head = (
-            session.id, session.modality, session.timeline_kind, session.src_len, session.tgt_len
-        )
-        rows.append((head, _eval_session(session, metrics, args.timeline, gran, subseg)))
-
-    if metrics is not None:
-        columns = [m for m in METRICS if m in metrics]
-    else:
-        columns = [m for m in METRICS if any(m in values for _, values in rows)]
-    kinds = {head[2] for head, _ in rows}  # the sessions' timelines
-    with _output(args.output) as out:
+    ms_flags: dict[str, list[bool]] = {}  # per timeline, whether each column is in ms
+    columns, written = None, 0  # written: rows in the CSV
+    with _output(args.output) as out:  # opened after the read, so -o may name the input
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([*_HEAD_FIELDS, *columns])
-        for head, values in rows:
-            writer.writerow([*head, *_cells(values, columns, (head[2],), args.timeline)])
+
+        def write(final: bool) -> None:  # the header once final, then the rows not yet written
+            nonlocal columns, written
+            if columns is None and final:
+                columns = [m for m in METRICS if m in scored]
+                ms_flags.update((k, [_in_ms(m, k, args.timeline) for m in columns]) for k in TIMELINES)
+                writer.writerow([*_HEAD_FIELDS, *columns])
+            if columns is not None:
+                for head, values in rows[written:]:
+                    writer.writerow([*head, *_cells(values, columns, ms_flags[head[2]])])
+                if rows and not written:  # the first rows leave even if out is buffered
+                    out.flush()
+                written = len(rows)
+
+        write(scored >= may_score)
+        for session in sessions:
+            head = (
+                session.id, session.modality, session.timeline_kind, session.src_len, session.tgt_len
+            )
+            rows.append((head, _eval_session(session, metrics, args.timeline, gran, subseg)))
+            scored.update(rows[-1][1])
+            write(scored >= may_score)
+        write(True)
         means = {m: _corpus_mean([v[m] for _, v in rows if m in v], m) for m in columns}
         corpus = {m: mean for m, mean in means.items() if mean is not None}
-        writer.writerow(["corpus", "", "", "", "", *_cells(corpus, columns, kinds, args.timeline)])
+        # in ms where the sessions of every timeline present score the metric in ms
+        corpus_ms = map(all, zip(*(ms_flags[k] for k in {head[2] for head, _ in rows})))
+        writer.writerow(["corpus", "", "", "", "", *_cells(corpus, columns, corpus_ms)])
 
     if args.json:
         report = {

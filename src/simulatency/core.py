@@ -203,12 +203,16 @@ class SessionTrace:
         object.__setattr__(self, "reads", tuple(self.reads))
         if self.spans is not None:
             object.__setattr__(self, "spans", tuple(self.spans))
+        if not isinstance(self.id, str) or not self.id:  # it names the session in every error
+            raise TraceError("id must be a non-empty string")
         try:
             self._validate()
         except TraceError as exc:
             raise TraceError(f"{self.id}: {exc}") from None
 
     def _validate(self) -> None:
+        if self.reference is not None and not isinstance(self.reference, str):
+            raise TraceError("reference must be a string")
         if self.modality not in MODALITIES:
             raise TraceError(f"unknown modality {self.modality!r}")
         if self.timeline_kind not in TIMELINES:

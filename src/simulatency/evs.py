@@ -41,6 +41,11 @@ class AlignedPair:
 
     def __post_init__(self) -> None:
         _check_link(self.src_index, self.tgt_index, self.src_start, self.tgt_start)
+        for what, index in (("src", self.src_index), ("tgt", self.tgt_index)):
+            if type(index) is not int:  # no bool, and no float to truncate
+                raise TraceError(f"{what} must be an integer, got {index!r}")
+        if type(self.verified) is not bool:
+            raise TraceError("verified must be a boolean")
 
     @property
     def span(self) -> float:

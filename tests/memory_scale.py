@@ -4,8 +4,9 @@
 
 Writes ``bench/gen.py`` corpora of each size (records, ``--sizes``) to a
 temporary directory, runs each command below once on each corpus in a fresh
-interpreter on the program in ``src/``, with stdout discarded, and prints
-the child's peak RSS (``ru_maxrss`` from ``os.wait4``) and wall time:
+interpreter on the program in ``src/``, reading its stdout through a pipe
+and discarding it, and prints the child's peak RSS (``ru_maxrss`` from
+``os.wait4``), the time to its first stdout line and its wall time:
 
 - ``eval`` on ``eval_text_steps``;
 - ``eval --timeline nca --json`` on ``eval_speech_nca``;
@@ -81,20 +82,28 @@ def write_corpora(directory: str, size: int, seed: int) -> dict[str, str]:
     return paths
 
 
-def peak_rss(argv: list[str]) -> tuple[float, float]:
-    """Peak RSS in MiB and wall time in seconds of one CLI run; raises on a non-zero exit."""
-    start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-c", SHIM, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
-    )
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{argv}: exit {proc.returncode}: {stderr.decode(errors='replace')[-500:]}")
-    return usage.ru_maxrss / 1024, time.perf_counter() - start
+def run_once(argv: list[str]) -> tuple[float, float, float]:
+    """Peak RSS in MiB, and the seconds to the first stdout line and to the
+    exit, of one CLI run; raises on a non-zero exit."""
+    with tempfile.TemporaryFile() as err:  # a file, so a long stderr cannot block the child
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SHIM, *argv], stdout=subprocess.PIPE, stderr=err,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        )
+        proc.stdout.readline()
+        first_line = time.perf_counter() - start
+        while proc.stdout.read(1 << 16):  # drained, not kept
+            pass
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            stderr = err.read().decode(errors="replace")
+            raise RuntimeError(f"{argv}: exit {proc.returncode}: {stderr[-500:]}")
+    return usage.ru_maxrss / 1024, first_line, wall
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,16 +111,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", type=int, nargs=2, default=[500, 2000], metavar="N")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    print(f"{'command':<42} {'corpus':<14} {'records':>7} {'peak MiB':>9} {'wall s':>7}")
+    print(f"{'command':<42} {'corpus':<14} {'records':>7} {'peak MiB':>9} {'first s':>7} "
+          f"{'wall s':>7}")
     rows = []
     with tempfile.TemporaryDirectory() as directory:
         for size in args.sizes:
             paths = write_corpora(directory, size, args.seed)
             for label, corpus, cli in RUNS:
-                rss, wall = peak_rss([*cli, paths[corpus]])
-                print(f"{label:<42} {corpus:<14} {size:>7} {rss:>9.1f} {wall:>7.2f}", flush=True)
+                rss, first, wall = run_once([*cli, paths[corpus]])
+                print(f"{label:<42} {corpus:<14} {size:>7} {rss:>9.1f} {first:>7.3f} {wall:>7.2f}",
+                      flush=True)
                 rows.append({"command": label, "corpus": corpus, "records": size,
-                             "peak_rss_mib": round(rss, 1), "wall_s": round(wall, 2)})
+                             "peak_rss_mib": round(rss, 1), "first_line_s": round(first, 3),
+                             "wall_s": round(wall, 2)})
     print(json.dumps({"seed": args.seed, "python": sys.version.split()[0], "rows": rows}))
     return 0
 

@@ -195,6 +195,21 @@ def test_session_errors_name_the_session_once(fields, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("session_id", [7, "", None, True, ("s",)])
+def test_session_refuses_an_id_that_is_not_a_non_empty_string(session_id):
+    # session_to_record would write it, and the reader refuse it
+    with pytest.raises(TraceError) as info:
+        full_session(id=session_id)
+    assert str(info.value) == "id must be a non-empty string"
+
+
+@pytest.mark.parametrize("reference", [5, b"x y", ["x", "y"], False])
+def test_session_refuses_a_reference_that_is_not_a_string(reference):
+    with pytest.raises(TraceError) as info:
+        full_session(reference=reference)
+    assert str(info.value) == "s: reference must be a string"
+
+
 def per_token_fault(side_name, side, timed):
     """The first fault of one side as the per-token loops name it, or None:
     the reference for the column checks ``SessionTrace`` runs first."""

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simulatency import AUTOMATIC, VERIFIED_ONLY, AlignedPair, dedupe_pairs, mean_evs
+from simulatency import AUTOMATIC, VERIFIED_ONLY, AlignedPair, TraceError, dedupe_pairs, mean_evs
 from simulatency.evs import AlignmentLinks
 from simulatency.trace_io import record_to_alignment
 
@@ -151,3 +151,21 @@ def test_dedupe_gives_its_own_output_back(pairs):
     for mode in (VERIFIED_ONLY, AUTOMATIC):
         assert bits(mean_evs(unique, mode)) == bits(mean_evs(pairs, mode))
         assert bits(mean_evs(unique, mode)) == bits(mean_evs(AlignmentLinks.of(pairs), mode))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((1.5, 2, 0.0, 500.0, True), "src must be an integer, got 1.5"),
+        ((2.0, 2, 0.0, 500.0, True), "src must be an integer, got 2.0"),
+        ((1, True, 0.0, 500.0, True), "tgt must be an integer, got True"),
+        ((1, 2, 0.0, 500.0, "yes"), "verified must be a boolean"),
+        ((1, 2, 0.0, 500.0, 1), "verified must be a boolean"),
+        # the index bound comes first, so a NaN index keeps its message
+        ((1.5, 0, 0.0, 500.0, "yes"), "alignment indices must be >= 1, got (1.5, 0)"),
+    ],
+)
+def test_pair_refuses_what_the_reader_refuses(fields, message):
+    with pytest.raises(TraceError) as info:
+        AlignedPair(*fields)
+    assert str(info.value) == message

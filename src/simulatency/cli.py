@@ -372,7 +372,7 @@ def cmd_evs(args: argparse.Namespace) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["id", "n_links", "n_used", "mean_evs"])
         means = []
-        for sentence_id, links in alignments:
+        for n, (sentence_id, links) in enumerate(alignments):
             unique, dupes = dedupe_pairs(links)
             if dupes:
                 logger.warning("%s: %d duplicate links dropped", sentence_id, dupes)
@@ -385,6 +385,8 @@ def cmd_evs(args: argparse.Namespace) -> int:
                 means.append(value)
             cell = f"{value:.1f}" if value is not None else ""
             writer.writerow([sentence_id, len(links), used, cell])
+            if n == 0:  # the header and the first row leave even if out is buffered
+                out.flush()
         corpus = _corpus_mean(means, "mean_evs")
         writer.writerow(["corpus", "", "", f"{corpus:.1f}" if corpus is not None else ""])
     return EXIT_OK

@@ -47,10 +47,14 @@ def _check_times(start: float | None, end: float | None) -> None:
     if (start is None) != (end is None):
         raise TraceError("start and end must be set together")
     if start is not None:
-        if start < 0:
-            raise TraceError(f"negative start time {start}")
-        if end < start:
-            raise TraceError(f"end {end} precedes start {start}")
+        try:
+            if start < 0:
+                raise TraceError(f"negative start time {start}")
+            if end < start:
+                raise TraceError(f"end {end} precedes start {start}")
+        except TypeError:  # a time that is no number, named as the reader names it
+            what, value = ("end", end) if isinstance(start, (int, float)) else ("start", start)
+            raise TraceError(f"{what} must be a number, got {value!r}") from None
         if start != start or end != end:
             raise TraceError(f"time is NaN: start {start}, end {end}")
 
@@ -246,8 +250,9 @@ class SessionTrace:
                 raise TraceError(f"{side_name} token {pos} lacks times on a timed session")
         if starts.count(None) == len(side) == ends.count(None):  # no timed token to check
             return
-        # by columns on the common path; token by token to name a fault
-        if None in starts or None in ends or min(starts) < 0 or not all(map(le, starts, ends)):
+        # by columns on the common path; token by token to name a fault or a time that is no number
+        numbers = {int, float}.issuperset(map(type, chain(starts, ends)))  # None is not
+        if not numbers or min(starts) < 0 or not all(map(le, starts, ends)):
             for pos, times in enumerate(zip(starts, ends), start=1):
                 try:
                     _check_times(*times)

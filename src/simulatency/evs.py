@@ -10,8 +10,8 @@ annotator's job.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from itertools import starmap
+from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .core import TraceError
@@ -19,14 +19,6 @@ from .core import TraceError
 VERIFIED_ONLY = "verified-only"
 AUTOMATIC = "automatic"
 EVS_MODES = (VERIFIED_ONLY, AUTOMATIC)
-
-
-def _check_link(src_index: int, tgt_index: int, src_start: float, tgt_start: float) -> None:
-    """A link's indices are 1-based and its start times non-negative."""
-    if not (src_index >= 1 and tgt_index >= 1):  # also refuses NaN
-        raise TraceError(f"alignment indices must be >= 1, got ({src_index}, {tgt_index})")
-    if not (src_start >= 0 and tgt_start >= 0):  # also refuses NaN
-        raise TraceError("alignment start times must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -40,7 +32,18 @@ class AlignedPair:
     verified: bool = False
 
     def __post_init__(self) -> None:
-        _check_link(self.src_index, self.tgt_index, self.src_start, self.tgt_start)
+        try:  # 1-based indices and non-negative start times; both checks refuse NaN
+            if not (self.src_index >= 1 and self.tgt_index >= 1):
+                raise TraceError(f"alignment indices must be >= 1, got ({self.src_index}, {self.tgt_index})")
+            if not (self.src_start >= 0 and self.tgt_start >= 0):
+                raise TraceError("alignment start times must be non-negative")
+        except TypeError:  # a field that is no number, named as the reader names it
+            for what, value in (("src", self.src_index), ("tgt", self.tgt_index),
+                                ("src_start", self.src_start), ("tgt_start", self.tgt_start)):
+                if not isinstance(value, (int, float)):
+                    kind = "a number" if what.endswith("start") else "an integer"
+                    raise TraceError(f"{what} must be {kind}, got {value!r}") from None
+            raise
         for what, index in (("src", self.src_index), ("tgt", self.tgt_index)):
             if type(index) is not int:  # no bool, and no float to truncate
                 raise TraceError(f"{what} must be an integer, got {index!r}")
@@ -54,34 +57,41 @@ class AlignedPair:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class AlignmentLinks(Sequence):
-    """The links of one sentence, as rows of ``AlignedPair`` fields.
+    """The links of one sentence, as five columns of ``AlignedPair`` fields.
 
-    Each row is ``(src_index, tgt_index, src_start, tgt_start, verified)``.
-    Indexing or iterating builds each ``AlignedPair`` on demand; a slice is
-    again links.  Links equal, and hash as, the tuple of their pairs.  The
-    rows are taken as given: ``AlignmentLinks.of`` builds links from pairs.
+    The reader gives the start times as ``array('d')``, with no float object
+    a link; ``of`` keeps the pairs' own values.  Indexing or iterating builds
+    each ``AlignedPair`` on demand; a slice is again links.  Links equal, and
+    hash as, the tuple of their pairs.  The columns are taken as given.
     """
 
-    rows: tuple[tuple[int, int, float, float, bool], ...] = ()
+    src: tuple[int, ...] = ()
+    tgt: tuple[int, ...] = ()
+    src_start: Sequence[float] = ()
+    tgt_start: Sequence[float] = ()
+    verified: tuple[bool, ...] = ()
+
+    _columns = property(attrgetter("src", "tgt", "src_start", "tgt_start", "verified"))
 
     @classmethod
     def of(cls, pairs: Iterable[AlignedPair]) -> "AlignmentLinks":
         if isinstance(pairs, AlignmentLinks):
             return pairs
-        return cls(
-            tuple((p.src_index, p.tgt_index, p.src_start, p.tgt_start, p.verified) for p in pairs)
-        )
+        return cls(*zip(*((p.src_index, p.tgt_index, p.src_start, p.tgt_start, p.verified) for p in pairs)))
+
+    @property
+    def rows(self) -> tuple[tuple[int, int, float, float, bool], ...]:
+        return tuple(zip(*self._columns))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.src)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return AlignmentLinks(self.rows[index])
-        return AlignedPair(*self.rows[index])
+        fields = [column[index] for column in self._columns]
+        return AlignmentLinks(*fields) if isinstance(index, slice) else AlignedPair(*fields)
 
     def __iter__(self):
-        return starmap(AlignedPair, self.rows)
+        return map(AlignedPair, *self._columns)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, AlignmentLinks):
@@ -98,13 +108,34 @@ class AlignmentLinks(Sequence):
             raise ValueError(f"unknown EVS mode {mode!r}")
         if mode == AUTOMATIC:
             return self
-        return AlignmentLinks(tuple([row for row in self.rows if row[-1]]))  # a list builds faster
+        rows = tuple([row for row in self.rows if row[-1]])  # a list builds faster
+        return _UniqueLinks(rows) if isinstance(self, _UniqueLinks) else AlignmentLinks(*zip(*rows))
 
 
 class _UniqueLinks(AlignmentLinks):
-    """Links that ``dedupe_pairs`` returned, so hold no duplicates."""
+    """Links that ``dedupe_pairs`` returned, so hold no duplicates: the rows
+    it built, which ``select`` and ``mean_evs`` walk faster than columns."""
 
-    __slots__ = ()
+    __slots__ = ("rows",)
+    src, tgt, src_start, tgt_start, verified = (  # built when asked for
+        property(lambda self, i=i: tuple(row[i] for row in self.rows)) for i in range(5)
+    )
+
+    def __init__(self, rows: tuple) -> None:
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value) -> None:  # frozen, as all links are
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return _UniqueLinks, (self.rows,)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        rows = self.rows[index]
+        return _UniqueLinks(rows) if isinstance(index, slice) else AlignedPair(*rows)
 
 
 def dedupe_pairs(pairs: Iterable[AlignedPair]) -> tuple[AlignmentLinks, int]:
@@ -118,7 +149,7 @@ def dedupe_pairs(pairs: Iterable[AlignedPair]) -> tuple[AlignmentLinks, int]:
         return pairs, 0
     links = AlignmentLinks.of(pairs)
     kept: dict[tuple, tuple] = {}  # (src, tgt, src_start, tgt_start) -> row
-    for row in links.rows:
+    for row in zip(*links._columns):
         first = kept.setdefault(row[:4], row)
         if row[4] and not first[4]:
             kept[row[:4]] = first[:4] + (True,)

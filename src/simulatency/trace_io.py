@@ -21,6 +21,7 @@ word-alignment links::
 from __future__ import annotations
 
 import json
+from array import array
 from itertools import chain, repeat
 from operator import le
 from typing import Iterator
@@ -34,7 +35,7 @@ from .core import (
     TraceError,
     _check_times,
 )
-from .evs import AlignmentLinks, _check_link
+from .evs import AlignedPair, AlignmentLinks
 
 
 # the size past which a shared table of token texts and span kinds keeps no new
@@ -347,8 +348,8 @@ def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, A
     try:
         sentence_id = _record_id(record)
         objs = _require_list(record, "links")
-        rows = _link_columns(objs)
-        if rows is None:  # name the fault, or read integer-valued floats
+        links = _link_columns(objs)
+        if links is None:  # name the fault, or read integer-valued floats
             rows = []
             for obj in objs:
                 if not isinstance(obj, dict):
@@ -360,24 +361,27 @@ def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, A
                 tgt = _int_index(_require(obj, "tgt"), "tgt")
                 src_start = _int_ms(_require(obj, "src_start"), "src_start")
                 tgt_start = _int_ms(_require(obj, "tgt_start"), "tgt_start")
-                _check_link(src, tgt, src_start, tgt_start)
+                AlignedPair(src, tgt, src_start, tgt_start, verified)  # checks the bounds
                 rows.append((src, tgt, src_start, tgt_start, verified))
+            src, tgt, src_start, tgt_start, verified = tuple(zip(*rows)) or ((),) * 5
+            links = AlignmentLinks(src, tgt, array("d", src_start), array("d", tgt_start), verified)
     except TraceError as exc:
         raise TraceFormatError(f"{_context(lineno)}{exc}") from exc
-    return sentence_id, AlignmentLinks(tuple(rows))
+    return sentence_id, links
 
 
-def _link_columns(objs: list) -> tuple | None:
-    """Link rows by columns: plain-int indices >= 1 and times >= 0, bool ``verified``."""
-    columns = [_int_column(objs, "src"), _int_column(objs, "tgt"),
-               _int_column(objs, "src_start", ms=True), _int_column(objs, "tgt_start", ms=True)]
-    if not objs or None in columns:
-        return None
-    src, tgt, src_start, tgt_start = columns
-    if min(min(src), min(tgt)) < 1 or min(min(src_start), min(tgt_start)) < 0:
+def _link_columns(objs: list) -> AlignmentLinks | None:
+    """Links by columns: plain-int indices >= 1 and times >= 0, bool ``verified``."""
+    src, tgt, *starts = columns = [_int_column(objs, k) for k in ("src", "tgt", "src_start", "tgt_start")]
+    if not objs or None in columns or min(min(src), min(tgt)) < 1 or min(map(min, starts)) < 0:
         return None
     verified = [obj.get("verified", False) for obj in objs]
-    return tuple(zip(*columns, verified)) if set(map(type, verified)) == {bool} else None
+    try:  # the start times straight from the ints, with no float object a link
+        if set(map(type, verified)) == {bool}:
+            return AlignmentLinks(tuple(src), tuple(tgt), *(array("d", c) for c in starts), tuple(verified))
+    except OverflowError:  # more than 308 digits
+        pass
+    return None
 
 
 def read_alignments(path: str) -> list[tuple[str, AlignmentLinks]]:

@@ -6,7 +6,10 @@ Writes ``bench/gen.py`` corpora of each size (records, ``--sizes``) to a
 temporary directory, runs each command below once on each corpus in a fresh
 interpreter on the program in ``src/``, reading its stdout through a pipe
 and discarding it, and prints the child's peak RSS (``ru_maxrss`` from
-``os.wait4``), the time to its first stdout line and its wall time:
+``os.wait4``), the time to its first stdout line and its wall time.  Last
+it prints, for each command, the slope of the peak between the two sizes in
+KiB per record, so that memory which grows with the corpus shows as one
+number.  The commands:
 
 - ``eval`` on ``eval_text_steps``;
 - ``eval --timeline nca --json`` on ``eval_speech_nca``;
@@ -111,20 +114,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", type=int, nargs=2, default=[500, 2000], metavar="N")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    if args.sizes[0] == args.sizes[1]:
+        parser.error("--sizes needs two different sizes")
     print(f"{'command':<42} {'corpus':<14} {'records':>7} {'peak MiB':>9} {'first s':>7} "
           f"{'wall s':>7}")
     rows = []
+    peaks: dict[int, list[float]] = {size: [] for size in args.sizes}  # MiB, in RUNS order
     with tempfile.TemporaryDirectory() as directory:
         for size in args.sizes:
             paths = write_corpora(directory, size, args.seed)
             for label, corpus, cli in RUNS:
                 rss, first, wall = run_once([*cli, paths[corpus]])
+                peaks[size].append(rss)
                 print(f"{label:<42} {corpus:<14} {size:>7} {rss:>9.1f} {first:>7.3f} {wall:>7.2f}",
                       flush=True)
                 rows.append({"command": label, "corpus": corpus, "records": size,
                              "peak_rss_mib": round(rss, 1), "first_line_s": round(first, 3),
                              "wall_s": round(wall, 2)})
-    print(json.dumps({"seed": args.seed, "python": sys.version.split()[0], "rows": rows}))
+    first_size, second_size = args.sizes
+    print(f"\n{'command':<42} {'corpus':<14} {'KiB/record':>10}")
+    slopes = []
+    for (label, corpus, _), (rss_a, rss_b) in zip(RUNS, zip(peaks[first_size], peaks[second_size])):
+        slope = (rss_b - rss_a) * 1024 / (second_size - first_size)
+        print(f"{label:<42} {corpus:<14} {slope:>10.2f}")
+        slopes.append({"command": label, "corpus": corpus, "kib_per_record": round(slope, 2)})
+    print(json.dumps({"seed": args.seed, "python": sys.version.split()[0], "rows": rows,
+                      "slopes": slopes}))
     return 0
 
 

@@ -195,6 +195,35 @@ def test_session_errors_name_the_session_once(fields, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"source": TokenSide(("a", "b", "c"), ("0", 100.0, 200.0), (100.0, 200.0, 300.0))},
+         "s: source token 1: start must be a number, got '0'"),
+        ({"target": TokenSide(("x", "y"), (300.0, 400.0), (400.0, "500"))},
+         "s: target token 2: end must be a number, got '500'"),
+        ({"timeline_kind": STEPS,
+          "source": TokenSide(("a", "b", "c"), (None, "0", None), (None, "1", None))},
+         "s: source token 2: start must be a number, got '0'"),
+    ],
+)
+def test_session_names_a_time_that_is_no_number(fields, message):
+    # as the reader names it, not as a TypeError from a comparison
+    with pytest.raises(TraceError) as info:
+        full_session(**fields)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "start, end, message",
+    [("0", "1", "start must be a number, got '0'"), (0.0, b"1", "end must be a number, got b'1'")],
+)
+def test_token_names_a_time_that_is_no_number(start, end, message):
+    with pytest.raises(TraceError) as info:
+        TimedToken("x", start, end)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("session_id", [7, "", None, True, ("s",)])
 def test_session_refuses_an_id_that_is_not_a_non_empty_string(session_id):
     # session_to_record would write it, and the reader refuse it

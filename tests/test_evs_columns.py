@@ -223,16 +223,18 @@ def test_read_alignments_holds_at_most_80_bytes_a_link(tmp_path):
                       "src_start": rng.randint(0, 60_000), "tgt_start": rng.randint(0, 60_000),
                       "verified": rng.random() < 0.5} for _ in range(30)]
             fp.write(json.dumps({"id": f"s{i}", "links": links}) + "\n")
-    assert not tracemalloc.is_tracing()
+    tracing = tracemalloc.is_tracing()  # already, under PYTHONTRACEMALLOC
     gc.collect()
-    tracemalloc.start()
+    if not tracing:
+        tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         alignments = read_alignments(str(path))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
-        tracemalloc.stop()
+        if not tracing:
+            tracemalloc.stop()
     n_links = sum(len(links) for _, links in alignments)
     assert n_links == 3000
     assert held / n_links <= 80, f"{held / n_links:.1f} bytes a link"

@@ -17,7 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import add, le
+from operator import add, attrgetter, le
 from typing import Iterable
 
 TEXT_TO_TEXT = "text-to-text"
@@ -76,44 +76,70 @@ class TimedToken:
         _check_times(self.start, self.end)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class TokenSide(Sequence):
-    """The tokens of one session side, as three parallel columns.
+class _Columns(Sequence):
+    """A read-only sequence of ``_item`` records, held as one column per field.
 
-    Indexing or iterating builds each ``TimedToken`` on demand; a slice is a
-    side.  A side equals, and hashes as, the tuple of its tokens.  The
-    columns are taken as given: ``TokenSide.of`` builds a side from tokens.
+    A subclass is a frozen dataclass whose fields are the columns, in the
+    order of ``_item``'s fields.  Indexing or iterating builds each record on
+    demand; a slice is again of the subclass.  The sequence equals, and
+    hashes as, the tuple of its records, and equals any column sequence of
+    the same records, whatever holds their columns.  The columns are taken
+    as given: ``of`` builds them from records.
     """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, items: Iterable):
+        if isinstance(items, cls):
+            return items
+        return cls(*zip(*map(attrgetter(*cls._item.__match_args__), items)))
+
+    @property
+    def _columns(self) -> tuple:
+        return attrgetter(*self.__match_args__)(self)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*self._columns))
+
+    def _check_lengths(self, name: str) -> None:
+        """Refuse columns of unequal length, naming each length."""
+        columns = self._columns
+        if len(set(map(len, columns))) > 1:
+            named = ", ".join(f"{field} {len(column)}" for field, column in zip(self.__match_args__, columns))
+            raise TraceError(f"{name} columns differ in length: {named}")
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__match_args__[0]))
+
+    def __getitem__(self, index):
+        fields = [column[index] for column in self._columns]
+        return type(self)(*fields) if isinstance(index, slice) else self._item(*fields)
+
+    def __iter__(self):
+        return map(self._item, *self._columns)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Columns):
+            return self._item is other._item and self.rows == other.rows
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        # a record hashes as the tuple of its fields, which is its row
+        return hash(self.rows)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class TokenSide(_Columns):
+    """The tokens of one session side, as three columns of ``TimedToken``
+    fields; ``SessionTrace`` refuses a side whose columns differ in length."""
 
     text: tuple[str | None, ...] = ()
     start: tuple[float | None, ...] = ()
     end: tuple[float | None, ...] = ()
 
-    @classmethod
-    def of(cls, tokens: Iterable[TimedToken]) -> "TokenSide":
-        if isinstance(tokens, TokenSide):
-            return tokens
-        tokens = tuple(tokens)
-        return cls(*(tuple(getattr(t, f) for t in tokens) for f in ("text", "start", "end")))
-
-    def __len__(self) -> int:
-        return len(self.text)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TokenSide(self.text[index], self.start[index], self.end[index])
-        return TimedToken(self.text[index], self.start[index], self.end[index])
-
-    def __iter__(self):
-        return map(TimedToken, self.text, self.start, self.end)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TokenSide):
-            return (self.text, self.start, self.end) == (other.text, other.start, other.end)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+    _item = TimedToken
 
 
 @dataclass(frozen=True)
@@ -230,12 +256,8 @@ class SessionTrace:
         _check_reads(self.reads, len(self.source))
 
     def _validate_side(self, side_name: str, side: TokenSide) -> None:
+        side._check_lengths(side_name)
         starts, ends = side.start, side.end
-        if not len(side.text) == len(starts) == len(ends):
-            raise TraceError(
-                f"{side_name} columns differ in length: "
-                f"text {len(side.text)}, start {len(starts)}, end {len(ends)}"
-            )
         if self.timeline_kind != STEPS:
             try:  # a fully timed side in order passes in four column passes; None raises
                 if not starts or (

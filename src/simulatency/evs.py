@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
-from operator import attrgetter
 from typing import Iterable
 
-from .core import TraceError
+from .core import TraceError, _Columns
 
 VERIFIED_ONLY = "verified-only"
 AUTOMATIC = "automatic"
@@ -56,13 +55,12 @@ class AlignedPair:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class AlignmentLinks(Sequence):
+class AlignmentLinks(_Columns):
     """The links of one sentence, as five columns of ``AlignedPair`` fields.
 
     The reader gives the start times as ``array('d')``, with no float object
-    a link; ``of`` keeps the pairs' own values.  Indexing or iterating builds
-    each ``AlignedPair`` on demand; a slice is again links.  Links equal, and
-    hash as, the tuple of their pairs.  The columns are taken as given.
+    a link; ``of`` keeps the pairs' own values.  The columns must be equally
+    long.
     """
 
     src: tuple[int, ...] = ()
@@ -71,36 +69,10 @@ class AlignmentLinks(Sequence):
     tgt_start: Sequence[float] = ()
     verified: tuple[bool, ...] = ()
 
-    _columns = property(attrgetter("src", "tgt", "src_start", "tgt_start", "verified"))
+    _item = AlignedPair
 
-    @classmethod
-    def of(cls, pairs: Iterable[AlignedPair]) -> "AlignmentLinks":
-        if isinstance(pairs, AlignmentLinks):
-            return pairs
-        return cls(*zip(*((p.src_index, p.tgt_index, p.src_start, p.tgt_start, p.verified) for p in pairs)))
-
-    @property
-    def rows(self) -> tuple[tuple[int, int, float, float, bool], ...]:
-        return tuple(zip(*self._columns))
-
-    def __len__(self) -> int:
-        return len(self.src)
-
-    def __getitem__(self, index):
-        fields = [column[index] for column in self._columns]
-        return AlignmentLinks(*fields) if isinstance(index, slice) else AlignedPair(*fields)
-
-    def __iter__(self):
-        return map(AlignedPair, *self._columns)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AlignmentLinks):
-            return self.rows == other.rows
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        # a pair hashes as the tuple of its fields, which is its row
-        return hash(self.rows)
+    def __post_init__(self) -> None:
+        self._check_lengths("link")
 
     def select(self, mode: str) -> "AlignmentLinks":
         """The links that ``mode`` averages: the verified ones, or all of them."""

@@ -5,7 +5,8 @@ A ``TokenSide`` holds a session side's tokens as columns, and
 their start times in ``array('d')``.  A copy, a deep copy or a pickle round
 trip gives back the same class, equal to the original, with the same
 ``repr``.  A side and links are different things: they never compare equal,
-not even when both are empty.
+not even when both are empty.  Links refuse columns of unequal length, as
+``SessionTrace`` refuses such a side.
 """
 
 import copy
@@ -14,8 +15,8 @@ from array import array
 
 import pytest
 
-from simulatency import TimedToken
-from simulatency.core import TokenSide
+from simulatency import TimedToken, TraceError
+from simulatency.core import TokenSide, _Columns
 from simulatency.evs import AlignmentLinks
 from simulatency.trace_io import record_to_alignment
 
@@ -56,3 +57,27 @@ def test_a_side_never_equals_links():
     assert not TokenSide() == AlignmentLinks()
     assert TokenSide() == () == AlignmentLinks()
     assert SIDE != read_links() and read_links() != SIDE
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (((1, 2), (1,), (0.0, 1.0), (5.0, 6.0), (True, True)),
+         "link columns differ in length: src 2, tgt 1, src_start 2, tgt_start 2, verified 2"),
+        (((1,), (1,), array("d", (0.0,)), array("d"), (True,)),
+         "link columns differ in length: src 1, tgt 1, src_start 1, tgt_start 0, verified 1"),
+        (((), (), (), (), (False,)),
+         "link columns differ in length: src 0, tgt 0, src_start 0, tgt_start 0, verified 1"),
+    ],
+)
+def test_links_refuse_columns_of_unequal_length(columns, message):
+    with pytest.raises(TraceError) as info:
+        AlignmentLinks(*columns)
+    assert str(info.value) == message
+
+
+def test_sides_and_links_share_one_sequence_contract():
+    members = ("of", "_columns", "rows", "__len__", "__getitem__", "__iter__", "__eq__", "__hash__")
+    for cls in (TokenSide, AlignmentLinks):
+        assert issubclass(cls, _Columns)
+        assert [name for name in members if name in vars(cls)] == []

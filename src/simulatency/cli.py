@@ -145,12 +145,17 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.abspath(a) == os.path.abspath(b)
 
 
-def _write_records(path: str | None, sessions: list[SessionTrace]) -> None:
-    """JSONL records of ``sessions`` to ``path`` (stdout when None or "-")."""
+def _write_records(path: str | None, sessions: Iterable[SessionTrace]) -> None:
+    """JSONL records of ``sessions`` to ``path`` (stdout when None or "-"), each
+    written before the next session is taken.  ``path`` is opened once the first
+    record is encoded, so a first session that fails leaves it untouched."""
     encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode  # fresh: no cycles
+    lines = (encode(session_to_record(session)) + "\n" for session in sessions)
+    first = next(lines, "")
     with _output(path) as out:
-        for session in sessions:
-            out.write(encode(session_to_record(session)) + "\n")
+        out.write(first)
+        out.flush()  # the first record leaves even if out is buffered
+        out.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +471,13 @@ def cmd_concat(args: argparse.Namespace) -> int:
     if len(sessions) < 2:
         raise TraceError(f"{args.traces}: need at least two sessions to concatenate")
     if args.pairing == "adjacent":
-        pairs = list(zip(sessions[0::2], sessions[1::2]))
+        pairs = zip(sessions[0::2], sessions[1::2])
         if len(sessions) % 2:
             logger.warning("odd session count: %s left unpaired", sessions[-1].id)
     else:
-        pairs = list(zip(sessions, sessions[1:]))
-    joined = [concat_sessions(a, b, mode=args.shift) for a, b in pairs]
-    _write_records(args.output, joined)
+        pairs = zip(sessions, sessions[1:])
+    # each pair is joined once the record before it is written, so one joined session is held
+    _write_records(args.output, (concat_sessions(a, b, mode=args.shift) for a, b in pairs))
     return EXIT_OK
 
 

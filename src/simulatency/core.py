@@ -48,12 +48,15 @@ def _check_times(start: float | None, end: float | None) -> None:
         raise TraceError("start and end must be set together")
     if start is not None:
         try:
+            if bool in (type(start), type(end)):  # an int to Python, but no time to the reader
+                raise TypeError
             if start < 0:
                 raise TraceError(f"negative start time {start}")
             if end < start:
                 raise TraceError(f"end {end} precedes start {start}")
         except TypeError:  # a time that is no number, named as the reader names it
-            what, value = ("end", end) if isinstance(start, (int, float)) else ("start", start)
+            number = type(start) is not bool and isinstance(start, (int, float))
+            what, value = ("end", end) if number else ("start", start)
             raise TraceError(f"{what} must be a number, got {value!r}") from None
         if start != start or end != end:
             raise TraceError(f"time is NaN: start {start}, end {end}")
@@ -151,8 +154,16 @@ class ComputationSpan:
     end: float  # ms
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start <= self.end:  # also refuses NaN
-            raise TraceError(f"invalid computation span [{self.start}, {self.end})")
+        try:
+            if bool in (type(self.start), type(self.end)):  # an int to Python, but no time to the reader
+                raise TypeError
+            if not 0 <= self.start <= self.end:  # also refuses NaN
+                raise TraceError(f"invalid computation span [{self.start}, {self.end})")
+        except TypeError:  # a time that is no number, named as the reader names it
+            for what, value in (("start", self.start), ("end", self.end)):
+                if type(value) is bool or not isinstance(value, (int, float)):
+                    raise TraceError(f"span {what} must be a number, got {value!r}") from None
+            raise
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,14 @@ class AlignedPair:
         try:  # 1-based indices and non-negative start times; both checks refuse NaN
             if not (self.src_index >= 1 and self.tgt_index >= 1):
                 raise TraceError(f"alignment indices must be >= 1, got ({self.src_index}, {self.tgt_index})")
+            if bool in (type(self.src_start), type(self.tgt_start)):  # no time to the reader
+                raise TypeError
             if not (self.src_start >= 0 and self.tgt_start >= 0):
                 raise TraceError("alignment start times must be non-negative")
         except TypeError:  # a field that is no number, named as the reader names it
             for what, value in (("src", self.src_index), ("tgt", self.tgt_index),
                                 ("src_start", self.src_start), ("tgt_start", self.tgt_start)):
-                if not isinstance(value, (int, float)):
+                if type(value) is bool or not isinstance(value, (int, float)):
                     kind = "a number" if what.endswith("start") else "an integer"
                     raise TraceError(f"{what} must be {kind}, got {value!r}") from None
             raise

@@ -13,7 +13,8 @@ number.  The commands:
 
 - ``eval`` on ``eval_text_steps``;
 - ``eval --timeline nca --json`` on ``eval_speech_nca``;
-- ``concat --pairing adjacent`` on ``eval_text_steps``;
+- ``concat --pairing adjacent`` and ``concat --pairing sliding`` on
+  ``eval_text_steps``;
 - ``concat --pairing adjacent --shift relative`` on ``concat_write`` (timed
   speech pairs with spans; ``bench/gen.py`` sizes it in pairs, so it is
   asked for half the records);
@@ -46,6 +47,7 @@ RUNS = (
     ("eval", "text", ["eval"]),
     ("eval --timeline nca --json", "speech", ["eval", "--timeline", "nca", "--json", os.devnull]),
     ("concat --pairing adjacent", "text", ["concat", "--pairing", "adjacent"]),
+    ("concat --pairing sliding", "text", ["concat", "--pairing", "sliding"]),
     ("concat --pairing adjacent --shift relative", "pairs",
      ["concat", "--pairing", "adjacent", "--shift", "relative"]),
     ("evs", "links", ["evs"]),

@@ -216,11 +216,27 @@ def test_session_names_a_time_that_is_no_number(fields, message):
 
 @pytest.mark.parametrize(
     "start, end, message",
-    [("0", "1", "start must be a number, got '0'"), (0.0, b"1", "end must be a number, got b'1'")],
+    [("0", "1", "start must be a number, got '0'"), (0.0, b"1", "end must be a number, got b'1'"),
+     # bool is an int to Python, but the reader refuses "start": true
+     (True, True, "start must be a number, got True"), (0, True, "end must be a number, got True"),
+     (False, 5.0, "start must be a number, got False")],
 )
 def test_token_names_a_time_that_is_no_number(start, end, message):
     with pytest.raises(TraceError) as info:
         TimedToken("x", start, end)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "start, end, message",
+    [(False, True, "span start must be a number, got False"),
+     (0, True, "span end must be a number, got True"),
+     ("a", "b", "span start must be a number, got 'a'"),
+     (0.0, None, "span end must be a number, got None")],
+)
+def test_span_names_a_time_that_is_no_number_as_the_reader_does(start, end, message):
+    with pytest.raises(TraceError) as info:
+        ComputationSpan("x", start, end)
     assert str(info.value) == message
 
 

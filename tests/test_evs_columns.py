@@ -254,6 +254,10 @@ def test_read_alignments_holds_at_most_80_bytes_a_link(tmp_path):
         # the bounds still come first where they can be checked
         ((0, 2, "0", 5.0, True), "alignment indices must be >= 1, got (0, 2)"),
         ((1.5, 0, "0", 5.0, True), "alignment indices must be >= 1, got (1.5, 0)"),
+        # bool is an int to Python, but no time to the reader
+        ((1, 2, True, 5.0, True), "src_start must be a number, got True"),
+        ((1, 2, 0.0, False, True), "tgt_start must be a number, got False"),
+        ((True, 2, True, 5.0, True), "src must be an integer, got True"),
     ],
 )
 def test_pair_names_a_field_that_is_no_number(fields, message):

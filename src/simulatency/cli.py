@@ -128,13 +128,27 @@ def _parse_int_spec(spec: str) -> list[int]:
 
 
 @contextlib.contextmanager
-def _output(path: str | None):
-    """Stdout for None or "-", else ``path`` opened for writing and closed on exit."""
+def _output(path: str | None, replace: bool = False):
+    """Stdout for None or "-", else ``path`` opened for writing and closed on exit.
+    With ``replace``, a regular file (not a link, pipe or device) is written beside
+    ``path`` and moved over it on exit, so a run that fails leaves it as it was."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
+    elif not replace or os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as out:
             yield out
+    else:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        out = open(tmp, "x", encoding="utf-8", newline="")  # the mode a new path would get
+        try:
+            with out:
+                yield out
+            if os.path.exists(path):
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -147,13 +161,12 @@ def _same_file(a: str, b: str) -> bool:
 
 def _write_records(path: str | None, sessions: Iterable[SessionTrace]) -> None:
     """JSONL records of ``sessions`` to ``path`` (stdout when None or "-"), each
-    written before the next session is taken.  ``path`` is opened once the first
-    record is encoded, so a first session that fails leaves it untouched."""
+    written before the next session is taken; a file ``path`` is replaced only
+    once every record is written, so a session that fails leaves it untouched."""
     encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode  # fresh: no cycles
     lines = (encode(session_to_record(session)) + "\n" for session in sessions)
-    first = next(lines, "")
-    with _output(path) as out:
-        out.write(first)
+    with _output(path, replace=True) as out:
+        out.write(next(lines, ""))
         out.flush()  # the first record leaves even if out is buffered
         out.writelines(lines)
 
@@ -476,7 +489,6 @@ def cmd_concat(args: argparse.Namespace) -> int:
             logger.warning("odd session count: %s left unpaired", sessions[-1].id)
     else:
         pairs = zip(sessions, sessions[1:])
-    # each pair is joined once the record before it is written, so one joined session is held
     _write_records(args.output, (concat_sessions(a, b, mode=args.shift) for a, b in pairs))
     return EXIT_OK
 

@@ -154,16 +154,11 @@ class ComputationSpan:
     end: float  # ms
 
     def __post_init__(self) -> None:
-        try:
-            if bool in (type(self.start), type(self.end)):  # an int to Python, but no time to the reader
-                raise TypeError
-            if not 0 <= self.start <= self.end:  # also refuses NaN
-                raise TraceError(f"invalid computation span [{self.start}, {self.end})")
-        except TypeError:  # a time that is no number, named as the reader names it
-            for what, value in (("start", self.start), ("end", self.end)):
-                if type(value) is bool or not isinstance(value, (int, float)):
-                    raise TraceError(f"span {what} must be a number, got {value!r}") from None
-            raise
+        for what, value in (("start", self.start), ("end", self.end)):  # as the reader names them
+            if type(value) is bool or not isinstance(value, (int, float)):  # bool: an int to Python only
+                raise TraceError(f"span {what} must be a number, got {value!r}")
+        if not 0 <= self.start <= self.end:  # also refuses NaN
+            raise TraceError(f"invalid computation span [{self.start}, {self.end})")
 
 
 @dataclass(frozen=True)

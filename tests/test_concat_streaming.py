@@ -1,13 +1,15 @@
 """``concat`` joins one pair at a time and writes its record before it joins
 the next, so the first record leaves after one join and one joined session
-is held, not all of them.  The output is opened once the first record is
-encoded, after the whole read.
+is held, not all of them.  Stdout takes each record as it is written; a
+``-o`` file is written beside its path and moved over it only once every
+record is written, so a run that fails leaves it as it was.
 
 Each test wraps ``cli.concat_sessions`` to see stdout, and which joined
 sessions are still alive, whenever a pair is about to be joined.
 """
 
 import gc
+import os
 import shutil
 import weakref
 
@@ -28,6 +30,15 @@ def traces(tmp_path):
     path = tmp_path / "traces.jsonl"
     argv = ["simulate", "--strategy", "wait-k", "--k", "1..6", "--src-len", "4", "--tgt-len", "3"]
     assert main([*argv, "-o", str(path)]) == 0
+    return path
+
+
+@pytest.fixture
+def mixed(traces, tmp_path):
+    """Five text sessions and a speech one: the third adjacent pair cannot be joined."""
+    path = tmp_path / "mixed.jsonl"
+    records = traces.read_text(encoding="utf-8").splitlines(True)
+    path.write_text("".join(records[:5] + [SPEECH]), encoding="utf-8")
     return path
 
 
@@ -77,14 +88,12 @@ def test_joined_sessions_before_the_last_are_freed(run_concat, traces, pairing, 
 
 
 def test_a_pair_that_cannot_be_joined_stops_the_run_after_the_records_before_it(
-    run_concat, traces, tmp_path, capsys
+    run_concat, traces, mixed, tmp_path, capsys
 ):
     records = traces.read_text(encoding="utf-8").splitlines(True)
     head = tmp_path / "head.jsonl"
     head.write_text("".join(records[:4]), encoding="utf-8")
     assert main(["concat", str(head), "-o", str(tmp_path / "head.out")]) == 0
-    mixed = tmp_path / "mixed.jsonl"
-    mixed.write_text("".join(records[:5] + [SPEECH]), encoding="utf-8")
     capsys.readouterr()
 
     code, text, seen, _, _ = run_concat(mixed)
@@ -110,3 +119,43 @@ def test_concat_may_replace_its_own_input(tmp_path):
     shutil.copy(FIXTURES / "contrast_traces.jsonl", traces)
     assert main(["concat", str(traces), "-o", str(traces)]) == 0
     assert traces.read_bytes() == (FIXTURES / "concat_contrast_relative.stdout").read_bytes()
+
+
+def test_a_failing_concat_leaves_its_own_input_as_it_was(mixed, capsys):
+    before = mixed.read_bytes()
+    assert main(["concat", str(mixed), "-o", str(mixed)]) == 2
+    assert mixed.read_bytes() == before
+    assert sorted(os.listdir(mixed.parent)) == ["mixed.jsonl", "traces.jsonl"]  # no temporary file is left
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "simulatency: error: modality mismatch: text-to-text vs speech-to-speech\n")
+
+
+def test_a_later_pair_that_fails_leaves_an_existing_output_and_its_mode_as_they_were(mixed, tmp_path):
+    out = tmp_path / "joined.jsonl"
+    out.write_bytes(b"kept\n")
+    out.chmod(0o640)
+    assert main(["concat", str(mixed), "--pairing", "sliding", "-o", str(out)]) == 2
+    assert out.read_bytes() == b"kept\n"
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["joined.jsonl", "mixed.jsonl", "traces.jsonl"]
+
+
+def test_a_replaced_output_keeps_its_mode_and_a_new_one_gets_the_default(traces, tmp_path):
+    old, new, plain = tmp_path / "old.jsonl", tmp_path / "new.jsonl", tmp_path / "plain"
+    old.write_bytes(b"")
+    old.chmod(0o640)
+    plain.write_bytes(b"")  # the mode open() gives a new file under this umask
+    for path in (old, new):
+        assert main(["concat", str(traces), "-o", str(path)]) == 0
+    assert old.read_bytes() == new.read_bytes() != b""
+    assert old.stat().st_mode & 0o777 == 0o640
+    assert new.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777
+
+
+def test_an_output_link_is_written_through_and_stays_a_link(traces, tmp_path):
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target)
+    assert main(["concat", str(traces), "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8").count("\n") == 3

@@ -215,6 +215,29 @@ def test_session_names_a_time_that_is_no_number(fields, message):
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"timeline_kind": STEPS,
+          "source": TokenSide(("a", "b", "c"), (None, True, None), (None, True, None))},
+         "s: source token 2: start must be a number, got True"),
+        ({"source": TokenSide(("a", "b", "c"), (False, 200.0, 100.0), (100.0, 300.0, 300.0))},
+         "s: source token 1: start must be a number, got False"),
+    ],
+)
+def test_bool_column_times_are_refused_where_each_token_is_checked(fields, message):
+    # a side that is checked token by token (on unit steps, or out of order) meets _check_times
+    with pytest.raises(TraceError) as info:
+        full_session(**fields)
+    assert str(info.value) == message
+
+
+def test_bool_column_times_pass_on_a_timed_side_in_order():
+    # the column check of a timed side in order lets bools by; ROADMAP item 5 holds it
+    session = full_session(source=TokenSide(("a", "b", "c"), (False, True, 200.0), (True, 200.0, 300.0)))
+    assert session.source.start == (False, True, 200.0)
+
+
+@pytest.mark.parametrize(
     "start, end, message",
     [("0", "1", "start must be a number, got '0'"), (0.0, b"1", "end must be a number, got b'1'"),
      # bool is an int to Python, but the reader refuses "start": true

@@ -42,22 +42,24 @@ class TraceError(ValueError):
     """A session or trace violates the data contract."""
 
 
+def _number(value, what: str) -> None:
+    """Refuse a ``value`` that is no ``int`` or ``float``, naming it as the
+    reader does; a bool is an int to Python, but no time to the reader."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise TraceError(f"{what} must be a number, got {value!r}")
+
+
 def _check_times(start: float | None, end: float | None) -> None:
     """A token's times are both set or both unset, and ``0 <= start <= end``."""
     if (start is None) != (end is None):
         raise TraceError("start and end must be set together")
     if start is not None:
-        try:
-            if bool in (type(start), type(end)):  # an int to Python, but no time to the reader
-                raise TypeError
-            if start < 0:
-                raise TraceError(f"negative start time {start}")
-            if end < start:
-                raise TraceError(f"end {end} precedes start {start}")
-        except TypeError:  # a time that is no number, named as the reader names it
-            number = type(start) is not bool and isinstance(start, (int, float))
-            what, value = ("end", end) if number else ("start", start)
-            raise TraceError(f"{what} must be a number, got {value!r}") from None
+        _number(start, "start")
+        _number(end, "end")
+        if start < 0:
+            raise TraceError(f"negative start time {start}")
+        if end < start:
+            raise TraceError(f"end {end} precedes start {start}")
         if start != start or end != end:
             raise TraceError(f"time is NaN: start {start}, end {end}")
 
@@ -154,9 +156,8 @@ class ComputationSpan:
     end: float  # ms
 
     def __post_init__(self) -> None:
-        for what, value in (("start", self.start), ("end", self.end)):  # as the reader names them
-            if type(value) is bool or not isinstance(value, (int, float)):  # bool: an int to Python only
-                raise TraceError(f"span {what} must be a number, got {value!r}")
+        _number(self.start, "span start")
+        _number(self.end, "span end")
         if not 0 <= self.start <= self.end:  # also refuses NaN
             raise TraceError(f"invalid computation span [{self.start}, {self.end})")
 
@@ -278,14 +279,11 @@ class SessionTrace:
                 raise TraceError(f"{side_name} token {pos} lacks times on a timed session")
         if starts.count(None) == len(side) == ends.count(None):  # no timed token to check
             return
-        # by columns on the common path; token by token to name a fault or a time that is no number
-        numbers = {int, float}.issuperset(map(type, chain(starts, ends)))  # None is not
-        if not numbers or min(starts) < 0 or not all(map(le, starts, ends)):
-            for pos, times in enumerate(zip(starts, ends), start=1):
-                try:
-                    _check_times(*times)
-                except TraceError as exc:
-                    raise TraceError(f"{side_name} token {pos}: {exc}") from None
+        for pos, times in enumerate(zip(starts, ends), start=1):  # token by token, to name the first fault
+            try:
+                _check_times(*times)
+            except TraceError as exc:
+                raise TraceError(f"{side_name} token {pos}: {exc}") from None
         last = prev_start = prev_end = None  # the last timed token's position and times
         for pos, (start, end) in enumerate(zip(starts, ends), start=1):
             if start is not None:
@@ -410,10 +408,7 @@ def regroup_tokens(
 
 def _shift(column: tuple, offset: float) -> tuple:
     """Each time in ``column`` moved by ``offset``; None stays None."""
-    try:
-        return tuple(map(add, column, repeat(offset)))
-    except TypeError:  # the column holds None
-        return tuple(t if t is None else t + offset for t in column)
+    return tuple(t if t is None else t + offset for t in column)
 
 
 def _join_sides(a: TokenSide, b: TokenSide, offset: float) -> TokenSide:
@@ -441,12 +436,8 @@ def concat_sessions(
         raise ValueError(f"unknown concat mode {mode!r}")
 
     offset = 0.0
-    if mode == "relative":
-        ends = (a.source.end, a.target.end, (0.0,))  # ends are non-negative: 0.0 is the max of none
-        try:
-            offset = max(chain(*ends))
-        except TypeError:  # a unit-step token's times are optional
-            offset = max(t for t in chain(*ends) if t is not None)
+    if mode == "relative":  # ends are non-negative, so 0.0 is the max of none; a unit-step end may be None
+        offset = max((t for t in chain(a.source.end, a.target.end) if t is not None), default=0.0)
 
     source = _join_sides(a.source, b.source, offset)
     target = _join_sides(a.target, b.target, offset)

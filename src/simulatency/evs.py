@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import starmap
 from typing import Iterable
 
-from .core import TraceError, _Columns
+from .core import TraceError, _Columns, _number
 
 VERIFIED_ONLY = "verified-only"
 AUTOMATIC = "automatic"
@@ -31,23 +32,19 @@ class AlignedPair:
     verified: bool = False
 
     def __post_init__(self) -> None:
-        try:  # 1-based indices and non-negative start times; both checks refuse NaN
-            if not (self.src_index >= 1 and self.tgt_index >= 1):
-                raise TraceError(f"alignment indices must be >= 1, got ({self.src_index}, {self.tgt_index})")
-            if bool in (type(self.src_start), type(self.tgt_start)):  # no time to the reader
-                raise TypeError
-            if not (self.src_start >= 0 and self.tgt_start >= 0):
-                raise TraceError("alignment start times must be non-negative")
-        except TypeError:  # a field that is no number, named as the reader names it
-            for what, value in (("src", self.src_index), ("tgt", self.tgt_index),
-                                ("src_start", self.src_start), ("tgt_start", self.tgt_start)):
-                if type(value) is bool or not isinstance(value, (int, float)):
-                    kind = "a number" if what.endswith("start") else "an integer"
-                    raise TraceError(f"{what} must be {kind}, got {value!r}") from None
-            raise
+        try:  # 1-based indices, where they compare (NaN does not pass); one that does not is named below
+            bounded = self.src_index >= 1 and self.tgt_index >= 1
+        except TypeError:
+            bounded = True
+        if not bounded:
+            raise TraceError(f"alignment indices must be >= 1, got ({self.src_index}, {self.tgt_index})")
         for what, index in (("src", self.src_index), ("tgt", self.tgt_index)):
             if type(index) is not int:  # no bool, and no float to truncate
                 raise TraceError(f"{what} must be an integer, got {index!r}")
+        _number(self.src_start, "src_start")
+        _number(self.tgt_start, "tgt_start")
+        if not (self.src_start >= 0 and self.tgt_start >= 0):  # also refuses NaN
+            raise TraceError("alignment start times must be non-negative")
         if type(self.verified) is not bool:
             raise TraceError("verified must be a boolean")
 
@@ -106,6 +103,9 @@ class _UniqueLinks(AlignmentLinks):
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __iter__(self):
+        return starmap(AlignedPair, self.rows)
 
     def __getitem__(self, index):
         rows = self.rows[index]

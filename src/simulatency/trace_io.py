@@ -34,6 +34,7 @@ from .core import (
     TokenSide,
     TraceError,
     _check_times,
+    _number,
 )
 from .evs import AlignedPair, AlignmentLinks
 
@@ -70,8 +71,7 @@ def _int_ms(value, what: str) -> float:
             return float(value)
         except OverflowError:  # more than 308 digits
             raise TraceFormatError(f"{what} is too large") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TraceFormatError(f"{what} must be a number, got {value!r}")
+    _number(value, what)
     if isinstance(value, float) and not value.is_integer():
         raise TraceFormatError(f"{what} must be integer milliseconds")
     if value < 0:

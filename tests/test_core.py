@@ -242,7 +242,9 @@ def test_bool_column_times_pass_on_a_timed_side_in_order():
     [("0", "1", "start must be a number, got '0'"), (0.0, b"1", "end must be a number, got b'1'"),
      # bool is an int to Python, but the reader refuses "start": true
      (True, True, "start must be a number, got True"), (0, True, "end must be a number, got True"),
-     (False, 5.0, "start must be a number, got False")],
+     (False, 5.0, "start must be a number, got False"),
+     # the type of each time before any range
+     (-1.0, "5", "end must be a number, got '5'")],
 )
 def test_token_names_a_time_that_is_no_number(start, end, message):
     with pytest.raises(TraceError) as info:

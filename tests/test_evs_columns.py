@@ -258,6 +258,9 @@ def test_read_alignments_holds_at_most_80_bytes_a_link(tmp_path):
         ((1, 2, True, 5.0, True), "src_start must be a number, got True"),
         ((1, 2, 0.0, False, True), "tgt_start must be a number, got False"),
         ((True, 2, True, 5.0, True), "src must be an integer, got True"),
+        # each field's type before any range but the bounds
+        ((1, 2, -1.0, "x", True), "tgt_start must be a number, got 'x'"),
+        ((1.5, 2, "0", 5.0, True), "src must be an integer, got 1.5"),
     ],
 )
 def test_pair_names_a_field_that_is_no_number(fields, message):

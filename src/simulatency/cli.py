@@ -37,7 +37,7 @@ from .core import (
     regroup_tokens,
     subsegment_session,
 )
-from .evs import EVS_MODES, VERIFIED_ONLY, dedupe_pairs, mean_evs
+from .evs import AUTOMATIC, EVS_MODES, VERIFIED_ONLY, dedupe_pairs, mean_evs
 from .metrics_step import (
     RATIO_HYPOTHESIS,
     RATIO_LENGTH_ADAPTIVE,
@@ -52,8 +52,10 @@ from .metrics_step import (
 from .metrics_time import atd_timed, build_nca_timeline, end_offset, start_offset
 from .sim import gen_chunk_k, gen_two_segment, gen_wait_k
 from .stats import StatsError, spearman
-from .trace_io import (
+from .trace_io import (  # read_alignments is unused, but bench/tracer.py patches it
     TraceFormatError,
+    iter_alignments,
+    iter_sessions,
     read_alignments,
     read_lines,
     read_sessions,
@@ -134,12 +136,15 @@ def _output(path: str | None, replace: bool = False):
     ``path`` and moved over it on exit, so a run that fails leaves it as it was."""
     if path is None or path == "-":
         yield sys.stdout
-    elif not replace or os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+    elif not replace or _in_place(path):
         with open(path, "w", encoding="utf-8", newline="") as out:
             yield out
     else:
         tmp = f"{path}.{os.getpid()}.tmp"
-        out = open(tmp, "x", encoding="utf-8", newline="")  # the mode a new path would get
+        try:
+            out = open(tmp, "x", encoding="utf-8", newline="")  # the mode a new path would get
+        except OSError as exc:  # named by the path asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, path) from None
         try:
             with out:
                 yield out
@@ -149,6 +154,17 @@ def _output(path: str | None, replace: bool = False):
         except BaseException:
             os.remove(tmp)
             raise
+
+
+def _in_place(path: str) -> bool:
+    """Whether ``_output(path, replace=True)`` writes ``path`` in place: a link or a special file."""
+    return os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
+
+
+def _refuse_in_place_input(args: argparse.Namespace, source: str) -> None:
+    """Exit 1 if ``-o`` names ``source`` and would be written in place, cutting it short."""
+    if args.output not in (None, "-") and _in_place(args.output) and _same_file(args.output, source):
+        raise SystemExit(_usage_error(args, "-o names the input and would overwrite it while it is read"))
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -161,12 +177,14 @@ def _same_file(a: str, b: str) -> bool:
 
 def _write_records(path: str | None, sessions: Iterable[SessionTrace]) -> None:
     """JSONL records of ``sessions`` to ``path`` (stdout when None or "-"), each
-    written before the next session is taken; a file ``path`` is replaced only
-    once every record is written, so a session that fails leaves it untouched."""
+    written before the next session is taken; ``path`` is opened after the first,
+    and a file is replaced only once every record is written, so a session that
+    fails leaves it untouched."""
     encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode  # fresh: no cycles
     lines = (encode(session_to_record(session)) + "\n" for session in sessions)
+    first = next(lines, "")
     with _output(path, replace=True) as out:
-        out.write(next(lines, ""))
+        out.write(first)
         out.flush()  # the first record leaves even if out is buffered
         out.writelines(lines)
 
@@ -383,28 +401,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_evs(args: argparse.Namespace) -> int:
-    alignments = read_alignments(args.alignments)
-    if not alignments:
-        raise TraceError(f"{args.alignments}: no sentences")
-    with _output(args.output) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["id", "n_links", "n_used", "mean_evs"])
-        means = []
-        for n, (sentence_id, links) in enumerate(alignments):
+    _refuse_in_place_input(args, args.alignments)
+    means = []
+
+    def scored():  # each sentence's row, scored as it is read
+        for sentence_id, links in iter_alignments(args.alignments):
             unique, dupes = dedupe_pairs(links)
             if dupes:
                 logger.warning("%s: %d duplicate links dropped", sentence_id, dupes)
-            used = len(unique.select(args.mode))
-            value = mean_evs(unique, args.mode)
+            used = unique.select(args.mode)
+            value = mean_evs(used, AUTOMATIC)  # every link of used is one the mode averages
             if value is not None and not math.isfinite(value):  # spans near the float range
                 logger.warning("%s: skipping mean_evs (value %s is not finite)", sentence_id, value)
                 value = None
             if value is not None:
                 means.append(value)
-            cell = f"{value:.1f}" if value is not None else ""
-            writer.writerow([sentence_id, len(links), used, cell])
-            if n == 0:  # the header and the first row leave even if out is buffered
-                out.flush()
+            yield [sentence_id, len(links), len(used), f"{value:.1f}" if value is not None else ""]
+
+    rows = scored()
+    first = next(rows, None)
+    if first is None:
+        raise TraceError(f"{args.alignments}: no sentences")
+    with _output(args.output, replace=True) as out:  # a run that fails leaves a -o file as it was
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerows([["id", "n_links", "n_used", "mean_evs"], first])
+        out.flush()  # the header and the first row leave even if out is buffered
+        writer.writerows(rows)
         corpus = _corpus_mean(means, "mean_evs")
         writer.writerow(["corpus", "", "", f"{corpus:.1f}" if corpus is not None else ""])
     return EXIT_OK
@@ -480,16 +502,20 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_concat(args: argparse.Namespace) -> int:
-    sessions = read_sessions(args.traces)
-    if len(sessions) < 2:
-        raise TraceError(f"{args.traces}: need at least two sessions to concatenate")
-    if args.pairing == "adjacent":
-        pairs = zip(sessions[0::2], sessions[1::2])
-        if len(sessions) % 2:
-            logger.warning("odd session count: %s left unpaired", sessions[-1].id)
-    else:
-        pairs = zip(sessions, sessions[1:])
-    _write_records(args.output, (concat_sessions(a, b, mode=args.shift) for a, b in pairs))
+    _refuse_in_place_input(args, args.traces)
+
+    def joined():  # each pair joined once its second session is read; the one before it is kept
+        n, prev = 0, None
+        for n, session in enumerate(iter_sessions(args.traces), start=1):
+            if n > 1 and (args.pairing == "sliding" or n % 2 == 0):
+                yield concat_sessions(prev, session, mode=args.shift)
+            prev = session
+        if n < 2:
+            raise TraceError(f"{args.traces}: need at least two sessions to concatenate")
+        if args.pairing == "adjacent" and n % 2:
+            logger.warning("odd session count: %s left unpaired", prev.id)
+
+    _write_records(args.output, joined())
     return EXIT_OK
 
 

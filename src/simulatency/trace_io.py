@@ -324,24 +324,32 @@ def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
         yield lineno, record
 
 
-def _read_records(path: str, parse) -> list:
-    """``parse(record, lineno)`` of each record in ``path``, which checks the
-    record's id; an id seen on an earlier line raises TraceFormatError."""
+def _iter_records(path: str, parse) -> Iterator:
+    """``parse(record, lineno)`` of each record in ``path``, one at a time, which
+    checks the record's id; an id seen on an earlier line raises TraceFormatError."""
     first_line: dict[str, int] = {}
-    items = []
     for lineno, record in _iter_json_lines(path):
-        items.append(parse(record, lineno))
+        item = parse(record, lineno)
         first = first_line.setdefault(record["id"], lineno)
         if first != lineno:
             raise TraceFormatError(
                 f"line {lineno}: duplicate id {record['id']!r} (first on line {first})"
             )
-    return items
+        yield item
+
+
+def _read_records(path: str, parse) -> list:
+    return list(_iter_records(path, parse))
+
+
+def iter_sessions(path: str) -> Iterator[SessionTrace]:
+    """The sessions of ``path``, each parsed when it is asked for."""
+    shared: dict = {}  # this file's token texts and span kinds, so no table outlives the read
+    return _iter_records(path, lambda record, lineno: record_to_session(record, lineno, shared))
 
 
 def read_sessions(path: str) -> list[SessionTrace]:
-    shared: dict = {}  # this file's token texts and span kinds, so no table outlives the read
-    return _read_records(path, lambda record, lineno: record_to_session(record, lineno, shared))
+    return list(iter_sessions(path))
 
 
 def record_to_alignment(record: dict, lineno: int | None = None) -> tuple[str, AlignmentLinks]:
@@ -384,5 +392,10 @@ def _link_columns(objs: list) -> AlignmentLinks | None:
     return None
 
 
+def iter_alignments(path: str) -> Iterator[tuple[str, AlignmentLinks]]:
+    """The sentences of ``path``, each parsed when it is asked for."""
+    return _iter_records(path, record_to_alignment)
+
+
 def read_alignments(path: str) -> list[tuple[str, AlignmentLinks]]:
-    return _read_records(path, record_to_alignment)
+    return list(iter_alignments(path))

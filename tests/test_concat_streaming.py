@@ -114,7 +114,7 @@ def test_a_first_pair_that_cannot_be_joined_leaves_the_output_untouched(tmp_path
 
 
 def test_concat_may_replace_its_own_input(tmp_path):
-    # -o is opened after the read, so it may name the trace file
+    # -o is written beside the trace file and moved over it on success, so it may name it
     traces = tmp_path / "traces.jsonl"
     shutil.copy(FIXTURES / "contrast_traces.jsonl", traces)
     assert main(["concat", str(traces), "-o", str(traces)]) == 0

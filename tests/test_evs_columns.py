@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simulatency import AUTOMATIC, AlignedPair, TraceError, cli, dedupe_pairs, mean_evs, read_alignments
+from simulatency import trace_io
 from simulatency.evs import EVS_MODES, AlignmentLinks
 from simulatency.trace_io import _link_columns, record_to_alignment
 
@@ -271,28 +272,23 @@ def test_pair_names_a_field_that_is_no_number(fields, message):
 
 # -- evs writes its first row at once --------------------------------------
 
-def test_evs_flushes_the_header_and_first_row_once_after_the_read(monkeypatch):
+def test_evs_flushes_the_header_and_first_row_once_before_sentence_2_is_parsed(monkeypatch):
     out = Stdout()
-    seen = []  # stdout when the read returned, and before each sentence is deduplicated
-    read, dedupe = cli.read_alignments, cli.dedupe_pairs
+    seen = []  # stdout, and what had been flushed, as each sentence was about to be parsed
+    parse = trace_io.record_to_alignment
 
-    def recorded_read(*args):
-        alignments = read(*args)
-        seen.append(out.getvalue())
-        return alignments
-
-    def recorded_dedupe(*args):
-        seen.append(out.getvalue())
-        return dedupe(*args)
+    def recorded(*args):
+        seen.append((out.getvalue(), list(out.flushed)))
+        return parse(*args)
 
     monkeypatch.setattr("sys.stdout", out)
-    monkeypatch.setattr(cli, "read_alignments", recorded_read)
-    monkeypatch.setattr(cli, "dedupe_pairs", recorded_dedupe)
+    monkeypatch.setattr(trace_io, "record_to_alignment", recorded)
     code = cli.main(["evs", str(FIXTURES / "evs_alignments.jsonl")])
     monkeypatch.undo()
     assert code == 0
     lines = out.getvalue().splitlines(keepends=True)
     assert lines == (FIXTURES / "evs_report.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-    assert seen == [""] + ["".join(lines[:k + 1]) for k in range(len(lines) - 2)]
-    assert out.flushed == ["".join(lines[:2])]
-
+    head = "".join(lines[:2])  # the header and row 1
+    # sentence k is parsed once rows 1..k-1 are written: lines[:k]
+    assert seen == [("", [])] + [("".join(lines[:k]), [head]) for k in range(2, len(lines) - 1)]
+    assert out.flushed == [head]

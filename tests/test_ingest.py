@@ -309,7 +309,8 @@ def test_evs_error_text_and_exit_code(tmp_path, capsys, record, message, mode):
     assert main(["evs", path, "--mode", mode]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"simulatency: error: line 2: {message}\n"
-    assert captured.out == ""
+    # each row is written as its sentence is read: the good one is out before the fault
+    assert captured.out == "id,n_links,n_used,mean_evs\na1,1,1,300.0\n"
 
 
 def test_fractional_link_index_is_not_truncated():

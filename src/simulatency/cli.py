@@ -37,7 +37,8 @@ from .core import (
     regroup_tokens,
     subsegment_session,
 )
-from .evs import AUTOMATIC, EVS_MODES, VERIFIED_ONLY, dedupe_pairs, mean_evs
+from .evs import EVS_MODES, VERIFIED_ONLY, _tally
+from .evs import dedupe_pairs, mean_evs  # unused, but bench/tracer.py patches them
 from .metrics_step import (
     RATIO_HYPOTHESIS,
     RATIO_LENGTH_ADAPTIVE,
@@ -406,17 +407,15 @@ def cmd_evs(args: argparse.Namespace) -> int:
 
     def scored():  # each sentence's row, scored as it is read
         for sentence_id, links in iter_alignments(args.alignments):
-            unique, dupes = dedupe_pairs(links)
+            dupes, n_used, value = _tally(links, args.mode)
             if dupes:
                 logger.warning("%s: %d duplicate links dropped", sentence_id, dupes)
-            used = unique.select(args.mode)
-            value = mean_evs(used, AUTOMATIC)  # every link of used is one the mode averages
             if value is not None and not math.isfinite(value):  # spans near the float range
                 logger.warning("%s: skipping mean_evs (value %s is not finite)", sentence_id, value)
                 value = None
             if value is not None:
                 means.append(value)
-            yield [sentence_id, len(links), len(used), f"{value:.1f}" if value is not None else ""]
+            yield [sentence_id, len(links), n_used, f"{value:.1f}" if value is not None else ""]
 
     rows = scored()
     first = next(rows, None)

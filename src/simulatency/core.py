@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, le
 from typing import Iterable
@@ -93,6 +93,20 @@ class _Columns(Sequence):
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # dataclass(frozen=True, slots=True) makes the class anew, and the
+        # __setattr__ and __delattr__ it copies into that class call super()
+        # with the class it replaced (a TypeError): drop them for the two below
+        super().__init_subclass__(**kwargs)
+        if "__setattr__" in vars(cls):
+            del cls.__setattr__, cls.__delattr__
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def of(cls, items: Iterable):

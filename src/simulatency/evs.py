@@ -10,8 +10,8 @@ annotator's job.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError, dataclass
-from itertools import starmap
+from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .core import TraceError, _Columns, _number
@@ -79,37 +79,26 @@ class AlignmentLinks(_Columns):
             raise ValueError(f"unknown EVS mode {mode!r}")
         if mode == AUTOMATIC:
             return self
-        rows = tuple([row for row in self.rows if row[-1]])  # a list builds faster
-        return _UniqueLinks(rows) if isinstance(self, _UniqueLinks) else AlignmentLinks(*zip(*rows))
+        return AlignmentLinks(*(tuple(compress(column, self.verified)) for column in self._columns))
 
 
-class _UniqueLinks(AlignmentLinks):
-    """Links that ``dedupe_pairs`` returned, so hold no duplicates: the rows
-    it built, which ``select`` and ``mean_evs`` walk faster than columns."""
+def _unique(links: AlignmentLinks) -> tuple[dict, set]:
+    """The ``(src, tgt, src_start, tgt_start)`` keys of ``links`` in the order
+    they first occur, and the set of the keys that some verified link has."""
+    keys = list(zip(links.src, links.tgt, links.src_start, links.tgt_start))
+    return dict.fromkeys(keys), set(compress(keys, links.verified))
 
-    __slots__ = ("rows",)
-    src, tgt, src_start, tgt_start, verified = (  # built when asked for
-        property(lambda self, i=i: tuple(row[i] for row in self.rows)) for i in range(5)
-    )
 
-    def __init__(self, rows: tuple) -> None:
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name: str, value) -> None:  # frozen, as all links are
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return _UniqueLinks, (self.rows,)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return starmap(AlignedPair, self.rows)
-
-    def __getitem__(self, index):
-        rows = self.rows[index]
-        return _UniqueLinks(rows) if isinstance(index, slice) else AlignedPair(*rows)
+def _tally(links: AlignmentLinks, mode: str) -> tuple[int, int, float | None]:
+    """One walk of a sentence's links: the number of duplicates, the number of
+    unique links that ``mode`` averages, and their mean span (None if none),
+    summed in the order the links first occur."""
+    if mode not in EVS_MODES:
+        raise ValueError(f"unknown EVS mode {mode!r}")
+    keys, verified = _unique(links)
+    used = keys if mode == AUTOMATIC else [key for key in keys if key in verified]
+    mean = sum(tgt_start - src_start for _, _, src_start, tgt_start in used) / len(used) if used else None
+    return len(links) - len(keys), len(used), mean
 
 
 def dedupe_pairs(pairs: Iterable[AlignedPair]) -> tuple[AlignmentLinks, int]:
@@ -117,17 +106,14 @@ def dedupe_pairs(pairs: Iterable[AlignedPair]) -> tuple[AlignmentLinks, int]:
 
     Links are duplicates when their indices and start times are equal,
     whatever their ``verified`` flags.  The first of them is kept, verified
-    if any of them is.  Its own output is given back as it is, with 0.
+    if any of them is.  Links with no duplicates, its own output among them,
+    are given back as they are, with 0.
     """
-    if isinstance(pairs, _UniqueLinks):
-        return pairs, 0
     links = AlignmentLinks.of(pairs)
-    kept: dict[tuple, tuple] = {}  # (src, tgt, src_start, tgt_start) -> row
-    for row in zip(*links._columns):
-        first = kept.setdefault(row[:4], row)
-        if row[4] and not first[4]:
-            kept[row[:4]] = first[:4] + (True,)
-    return _UniqueLinks(tuple(kept.values())), len(links) - len(kept)
+    keys, verified = _unique(links)
+    if len(keys) == len(links):
+        return links, 0
+    return AlignmentLinks(*zip(*(key + (key in verified,) for key in keys))), len(links) - len(keys)
 
 
 def mean_evs(pairs: Iterable[AlignedPair], mode: str = VERIFIED_ONLY) -> float | None:
@@ -138,7 +124,4 @@ def mean_evs(pairs: Iterable[AlignedPair], mode: str = VERIFIED_ONLY) -> float |
     link set is empty (such sentences are dropped from corpus statistics, not
     scored as zero).  Negative spans are averaged as-is.
     """
-    rows = dedupe_pairs(pairs)[0].select(mode).rows
-    if not rows:
-        return None
-    return sum(tgt_start - src_start for _, _, src_start, tgt_start, _ in rows) / len(rows)
+    return _tally(AlignmentLinks.of(pairs), mode)[2]

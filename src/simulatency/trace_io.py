@@ -338,10 +338,6 @@ def _iter_records(path: str, parse) -> Iterator:
         yield item
 
 
-def _read_records(path: str, parse) -> list:
-    return list(_iter_records(path, parse))
-
-
 def iter_sessions(path: str) -> Iterator[SessionTrace]:
     """The sessions of ``path``, each parsed when it is asked for."""
     shared: dict = {}  # this file's token texts and span kinds, so no table outlives the read

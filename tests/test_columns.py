@@ -6,12 +6,14 @@ their start times in ``array('d')``.  A copy, a deep copy or a pickle round
 trip gives back the same class, equal to the original, with the same
 ``repr``.  A side and links are different things: they never compare equal,
 not even when both are empty.  Links refuse columns of unequal length, as
-``SessionTrace`` refuses such a side.
+``SessionTrace`` refuses such a side.  Neither takes an attribute: setting
+or deleting one, field or not, raises ``FrozenInstanceError``.
 """
 
 import copy
 import pickle
 from array import array
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -43,6 +45,18 @@ def test_copies_and_pickles_keep_class_equality_and_repr(value):
         assert again == value and value == again and again == tuple(value)
         assert hash(again) == hash(value) == hash(tuple(value))
         assert repr(again) == repr(value)
+
+
+@pytest.mark.parametrize("value", [SIDE, TokenSide(), read_links(), AlignmentLinks()],
+                         ids=["side", "empty-side", "read-links", "empty-links"])
+def test_sides_and_links_refuse_assignment_as_frozen_instances(value):
+    field = value.__match_args__[0]
+    for name in ("foo", "rows", field):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, ())
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert not hasattr(value, "foo") and getattr(value, field) == getattr(copy.copy(value), field)
 
 
 def test_read_links_keep_their_array_starts_through_a_copy():

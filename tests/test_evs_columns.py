@@ -125,7 +125,7 @@ def assert_behave_alike(links, old, data):
     assert hash(unique) == hash(old_unique) and unique == AlignmentLinks.of(tuple(old_unique))
     assert unique[cut] == tuple(old_unique[cut]) and typed(unique[cut]) == typed(old_unique[cut])
     columns = (unique.src, unique.tgt, unique.src_start, unique.tgt_start, unique.verified)
-    assert columns == (tuple(zip(*old_unique.rows)) or ((),) * 5)
+    assert tuple(map(tuple, columns)) == (tuple(zip(*old_unique.rows)) or ((),) * 5)
     for mode in EVS_MODES:
         for new_links, old_links in ((links, old), (unique, old_unique)):
             selected, old_selected = new_links.select(mode), old_links.select(mode)

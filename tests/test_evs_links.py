@@ -7,7 +7,8 @@ included, the links, a slice of them, and the links that
 be indistinguishable from a tuple of pairs, and ``dedupe_pairs`` and
 ``mean_evs`` must give, bit for bit, what a literal first-occurrence dedupe
 on indices and start times and a plain ``sum(p.span for p in selected) /
-len(selected)`` give.
+len(selected)`` give.  So must the duplicate count, the number of links
+used and the mean that ``evs`` takes from one walk of the links.
 """
 
 from dataclasses import replace
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simulatency import AUTOMATIC, VERIFIED_ONLY, AlignedPair, TraceError, dedupe_pairs, mean_evs
-from simulatency.evs import AlignmentLinks
+from simulatency.evs import AlignmentLinks, _tally
 from simulatency.trace_io import record_to_alignment
 
 # integer milliseconds, as an int or an integer-valued float: equal pairs of
@@ -105,6 +106,10 @@ def assert_links_behave_as(links, pairs, data):
         for mode in (VERIFIED_ONLY, AUTOMATIC):
             assert bits(mean_evs(given_as, mode)) == bits(oracle_mean(pairs, mode))
     assert bits(mean_evs(unique)) == bits(oracle_mean(pairs, VERIFIED_ONLY))
+    for mode in (VERIFIED_ONLY, AUTOMATIC):  # the one walk that evs scores a sentence with
+        dupes, n_used, mean = _tally(links, mode)
+        assert dupes == len(pairs) - len(expected) and n_used == len(oracle_select(expected, mode))
+        assert bits(mean) == bits(oracle_mean(pairs, mode))
 
 
 @settings(max_examples=150, deadline=None)

@@ -295,9 +295,9 @@ def distinct_texts_file(path, sides) -> None:
 
 
 def read_shared(path, shared: dict) -> list[SessionTrace]:
-    return trace_io._read_records(
+    return list(trace_io._iter_records(
         str(path), lambda record, lineno: record_to_session(record, lineno, shared)
-    )
+    ))
 
 
 def test_the_bound_keeps_the_table_small_when_no_word_repeats(tmp_path):

@@ -111,17 +111,18 @@ class _WarningCounter(logging.Handler):
 
 
 def _parse_int_spec(spec: str) -> list[int]:
-    """Parse "3", "1..20" or "1,5,9" into a list of ints."""
+    """Parse "3", "1..20" or "1,5,9" into a list of ints; every part gives one."""
     values: list[int] = []
     for part in spec.split(","):
         part = part.strip()
         if ".." in part:
             lo, hi = part.split("..", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            span = range(int(lo), int(hi) + 1)
+            if not span:
+                raise ValueError(f"empty range {part!r} in {spec!r}")
+            values.extend(span)
         else:
             values.append(int(part))
-    if not values:
-        raise ValueError("empty range")
     seen: set[int] = set()
     for value in values:
         if value in seen:  # each value names a session, and ids must be unique

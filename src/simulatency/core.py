@@ -329,15 +329,19 @@ def _split_chunks(
     it has no duration, if a source chunk starts before the chunk before it
     ends, if it would take its side past ``MAX_SUBTOKENS_PER_SIDE``, or if a
     ``target`` chunk's first piece would come before the last piece so far.
+
+    The checks need only the counts and the last piece, so the pieces are
+    built after them, in one pass.
     """
-    piece_starts, piece_ends, counts = [], [], []
-    for t, (start, end) in enumerate(zip(starts, ends), start=1):
+    counts = []
+    before = 0  # pieces so far; the last of them spans [last_start, last_end)
+    last_start = last_end = None
+    for start, end in zip(starts, ends):
         if end <= start:
             raise TraceError(f"segment [{start}, {end}) has no duration")
-        if not target and piece_ends and start < piece_ends[-1]:
+        if not target and before and start < last_end:
             raise TraceError(f"segment starting at {start} overlaps previous chunk")
         pieces = (end - start) / tau
-        before = len(piece_starts)
         room = MAX_SUBTOKENS_PER_SIDE - before
         if not pieces <= room:  # also refuses an infinite or NaN count
             raise TraceError(
@@ -345,22 +349,30 @@ def _split_chunks(
                 + (f", the rest of the {MAX_SUBTOKENS_PER_SIDE} of its side" if before else "")
             )
         # the tolerance keeps exact multiples of tau from making a zero-length tail;
-        # a chunk that outlasts a multiple by less gives the excess to its last piece
-        count = max(1, math.ceil(pieces - 1e-9))
+        # a chunk that outlasts a multiple by less gives the excess to its last piece.
+        # The chunk has a duration, so the ceiling is at least 0 and `or 1` is max(1, .)
+        count = math.ceil(pieces - 1e-9) or 1
         # pieces within a chunk are in order; target chunks that overlap may not be
         if target and before and (
-            start < piece_starts[-1] or (end if count == 1 else start + tau) < piece_ends[-1]
+            start < last_start or (end if count == 1 else start + tau) < last_end
         ):
+            t = len(counts) + 1
             raise TraceError(f"target tokens {t - 1},{t} out of order once split into sub-segments")
-        if count == 1:
-            piece_starts.append(start)
-            piece_ends.append(end)
-        else:
-            split = [start + i * tau for i in range(count)]
-            piece_starts += split
-            piece_ends += split[1:]
-            piece_ends.append(end)
+        last_start = start if count == 1 else start + (count - 1) * tau
+        last_end = end
+        before += count
         counts.append(count)
+    # a chunk that does not split keeps its start as given (an int, or -0.0, stays)
+    piece_starts = [
+        start + i * tau if count > 1 else start
+        for start, count in zip(starts, counts)
+        for i in range(count)
+    ]
+    # a piece ends where the next one starts, the last of a chunk where the chunk ends
+    piece_ends = piece_starts[1:]
+    piece_ends += ends[-1:]
+    for k, end in zip(accumulate(counts), ends):
+        piece_ends[k - 1] = end
     return piece_starts, piece_ends, counts
 
 

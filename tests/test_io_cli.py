@@ -997,6 +997,11 @@ EXIT_CODES = [
      ["simulate", "--strategy", "wait-k", "--k", "1..3,2"], 1, "value 2 given twice"),
     ("repeated --first-len value",
      ["simulate", "--strategy", "two-segment", "--first-len", "4,2..4"], 1, "value 4 given twice"),
+    ("empty --k range in a list",
+     ["simulate", "--strategy", "wait-k", "--k", "1..2,5..4", "--src-len", "3", "--tgt-len", "3"],
+     1, "empty range '5..4' in '1..2,5..4'"),
+    ("empty --first-len range in a list",
+     ["simulate", "--strategy", "two-segment", "--first-len", "2,4..3"], 1, "empty range '4..3'"),
     ("unknown --metrics name, before the file is read",
      ["eval", "{missing}", "--metrics", "al,bogus"], 1, "unknown metrics: bogus"),
     ("empty --metrics entry", ["eval", "{traces}", "--metrics", "al,"], 1, "unknown metrics: ''"),

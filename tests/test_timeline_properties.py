@@ -11,6 +11,7 @@ token, error message for error message.
 
 import math
 from dataclasses import replace
+from itertools import islice
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,19 @@ def oracle_split_chunks(segments, cfg):
     return tuple(tokens)
 
 
+def oracle_split_target(segments, cfg):
+    """Speech-to-speech target chunks, split one at a time.  Chunks may
+    overlap, but a chunk whose first piece comes before the last piece so
+    far is refused by its input position."""
+    tokens = []
+    for t, segment in enumerate(segments, start=1):
+        pieces = oracle_split_chunks([segment], cfg)
+        if tokens and (pieces[0].start < tokens[-1].start or pieces[0].end < tokens[-1].end):
+            raise TraceError(f"target tokens {t - 1},{t} out of order once split into sub-segments")
+        tokens.extend(pieces)
+    return tuple(tokens)
+
+
 def oracle_subsegment_session(s, cfg):
     if not s.is_timed:
         raise TraceError("unit-step session has no speech timeline")
@@ -69,18 +83,13 @@ def oracle_subsegment_session(s, cfg):
     remapped = [counts[g - 1] for g in s.reads]
 
     if s.modality == SPEECH_TO_SPEECH:
+        pieces = iter(oracle_split_target([(t.start, t.end) for t in s.target], cfg))
         tgt_tokens = []
         tgt_reads = []
-        for t, (token, g) in enumerate(zip(s.target, remapped), start=1):
-            pieces = oracle_split_chunks([(token.start, token.end)], cfg)
-            if tgt_tokens and (
-                pieces[0].start < tgt_tokens[-1].start or pieces[0].end < tgt_tokens[-1].end
-            ):
-                raise TraceError(
-                    f"target tokens {t - 1},{t} out of order once split into sub-segments"
-                )
-            text = token.text if len(pieces) == 1 else None
-            for piece in pieces:
+        for token, g in zip(s.target, remapped):
+            n = len(oracle_split_chunks([(token.start, token.end)], cfg))
+            text = token.text if n == 1 else None
+            for piece in islice(pieces, n):
                 tgt_tokens.append(replace(piece, text=text))
                 tgt_reads.append(g)
         target = tuple(tgt_tokens)
@@ -209,15 +218,54 @@ def test_subsegment_session_equals_oracle(session, tau):
     st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 3000)), max_size=6),
     any_taus,
 )
+@example([(0, 21), (21, 42)], 0.7)  # 21 / 0.7 is 30.000000000000004: 30 pieces, not 31
+@example([(0, 900)], 299.99999999)  # 3 pieces, the last 300.00000002 ms long
+@example([(0, 2_000_000_001)], 2e9)  # outlasts tau by 5e-10 tau: one piece
+@example([(0, 900)], 299.99995)  # outlasts 3 tau by 5e-7 tau: a fourth, 0.00015 ms piece
+@example([(0, 700), (500, 750)], 300.0)  # a target chunk starts before the last piece [600, 700)
+@example(  # a target chunk starts at the last piece but its first piece ends before it does
+    [(0, 900), (2 * 299.99999999, 1500)], 299.99999999
+)
 def test_subsegment_speech_equals_oracle(segments, tau):
-    # the chunk-list split that subsegment_session runs over a source side,
-    # on any list of (start, end) pairs: reversed, empty and overlapping ones too
+    # the chunk-list split that subsegment_session runs over each side, on any
+    # list of (start, end) pairs: reversed, empty and overlapping ones too;
+    # times compare by their exact binary values, not by ==
     cfg = SubSegmentConfig(tau=tau)
-    def split(segments, cfg):
-        starts, ends, _ = _split_chunks([s for s, _ in segments], [e for _, e in segments], cfg.tau)
-        return tuple(map(TimedToken, [None] * len(starts), starts, ends))
 
-    assert outcome(split, segments, cfg) == outcome(oracle_split_chunks, segments, cfg)
+    def split(segments, cfg, target):
+        starts, ends, counts = _split_chunks(
+            [s for s, _ in segments], [e for _, e in segments], cfg.tau, target=target
+        )
+        return [float(s).hex() for s in starts], [float(e).hex() for e in ends], counts
+
+    def oracle(segments, cfg, target):
+        pieces = (oracle_split_target if target else oracle_split_chunks)(segments, cfg)
+        counts = [len(oracle_split_chunks([segment], cfg)) for segment in segments]
+        return [float(p.start).hex() for p in pieces], [float(p.end).hex() for p in pieces], counts
+
+    for target in (False, True):
+        assert outcome(split, segments, cfg, target) == outcome(oracle, segments, cfg, target)
+
+
+def test_split_keeps_an_unsplit_chunks_times_as_given():
+    # an unsplit chunk keeps its start and end values, int or -0.0; a split
+    # chunk's pieces start at start + i*tau, so at a float tau they are floats
+    starts, ends, counts = _split_chunks([-0.0, 300, 700], [100, 600, 1300], 300.0)
+    assert counts == [1, 1, 2]
+    assert [type(t) for t in starts] == [float, int, float, float]
+    assert [type(t) for t in ends] == [int, int, float, int]
+    assert [float(t).hex() for t in starts] == [
+        float(t).hex() for t in (-0.0, 300, 700, 1000)
+    ]
+    assert ends == [100, 600, 1000.0, 1300]
+    # a side where no chunk splits comes back with its own values
+    starts, ends, counts = _split_chunks([-0.0, 300], [100, 600], 300.0, target=True)
+    assert [(type(t), float(t).hex()) for t in starts] == [
+        (float, (-0.0).hex()), (int, (300.0).hex())
+    ]
+    assert ends == [100, 600] and [type(t) for t in ends] == [int, int]
+    assert counts == [1, 1]
+    assert _split_chunks((), (), 300.0) == ([], [], [])
 
 
 @PROPERTY

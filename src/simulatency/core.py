@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, le
 from typing import Iterable
@@ -92,22 +92,6 @@ class _Columns(Sequence):
     as given: ``of`` builds them from records.
     """
 
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        # dataclass(frozen=True, slots=True) makes the class anew, and the
-        # __setattr__ and __delattr__ it copies into that class call super()
-        # with the class it replaced (a TypeError): drop them for the two below
-        super().__init_subclass__(**kwargs)
-        if "__setattr__" in vars(cls):
-            del cls.__setattr__, cls.__delattr__
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     @classmethod
     def of(cls, items: Iterable):
         if isinstance(items, cls):
@@ -149,7 +133,7 @@ class _Columns(Sequence):
         return hash(self.rows)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class TokenSide(_Columns):
     """The tokens of one session side, as three columns of ``TimedToken``
     fields; ``SessionTrace`` refuses a side whose columns differ in length."""

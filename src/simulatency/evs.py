@@ -53,7 +53,7 @@ class AlignedPair:
         return self.tgt_start - self.src_start
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentLinks(_Columns):
     """The links of one sentence, as five columns of ``AlignedPair`` fields.
 

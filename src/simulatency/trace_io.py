@@ -76,7 +76,7 @@ def _int_ms(value, what: str) -> float:
         raise TraceFormatError(f"{what} must be integer milliseconds")
     if value < 0:
         raise TraceFormatError(f"{what} must be non-negative")
-    return float(value)
+    return float(value) + 0.0  # reads -0.0 as 0.0
 
 
 def _require_list(obj: dict, key: str) -> list:

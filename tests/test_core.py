@@ -492,6 +492,10 @@ def test_regroup_bad_boundaries_rejected():
         regroup_tokens(tokens, reads, gran, (5,))
     with pytest.raises(TraceError):
         regroup_tokens(tokens, reads, gran, (2,))
+    with pytest.raises(TraceError, match=r"^chunk boundary 0 out of range$"):
+        regroup_tokens(tokens, reads, gran, (0, 4))
+    with pytest.raises(TraceError, match="^3 reads for 4 tokens$"):
+        regroup_tokens(tokens, reads[:3], gran, (4,))
 
 
 def test_granularity_from_spec():
@@ -501,6 +505,8 @@ def test_granularity_from_spec():
         TokenGranularity.from_spec("char:x")
     with pytest.raises(ValueError):
         TokenGranularity.from_spec("bytes")
+    with pytest.raises(ValueError, match="^unknown granularity unit 'syllable'$"):
+        TokenGranularity("syllable")
 
 
 def test_chunk_ends_from_reads():
@@ -582,6 +588,8 @@ def test_concat_modality_mismatch_rejected():
     b = step_session("b", [1], 1, modality=TEXT_TO_TEXT)
     with pytest.raises(TraceError, match="modality"):
         concat_sessions(a, b)
+    with pytest.raises(ValueError, match="^unknown concat mode 'sideways'$"):
+        concat_sessions(a, a, mode="sideways")
 
 
 def test_concat_joins_references():

@@ -590,6 +590,18 @@ def test_cli_evs_absent_rows_stay_blank(tmp_path, capsys):
     assert float(by_id["corpus"]["mean_evs"]) == pytest.approx(2300.0)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+def test_cli_evs_on_a_file_with_no_sentences_is_a_data_error(tmp_path, capsys, text):
+    path = tmp_path / "align.jsonl"
+    path.write_text(text, encoding="utf-8")
+    report = tmp_path / "report.csv"
+    report.write_text("kept\n", encoding="utf-8")
+    for output in ([], ["-o", str(report)]):
+        assert main(["evs", str(path), *output]) == 2
+        assert capsys.readouterr() == ("", f"simulatency: error: {path}: no sentences\n")
+    assert report.read_text(encoding="utf-8") == "kept\n"
+
+
 def verified_link(src, tgt_start):
     return {"src": src, "tgt": src, "src_start": 0, "tgt_start": tgt_start, "verified": True}
 
@@ -988,6 +1000,8 @@ EXIT_CODES = [
     ("missing argument", ["eval"], 1, "error: the following arguments are required"),
     ("unknown command", ["unknown-command"], 1, "error: argument command"),
     ("bad --granularity", ["eval", "{traces}", "--granularity", "bytes"], 1, "bad granularity"),
+    ("empty --granularity group",
+     ["eval", "{traces}", "--granularity", "char:0"], 1, "group_size must be >= 1, got 0"),
     ("bad --tau", ["eval", "{traces}", "--tau", "-5"], 1, "tau must be positive"),
     ("bad --tau, before the file is read", ["eval", "{missing}", "--tau", "0"], 1, "tau must be"),
     ("non-finite --tau", ["eval", "{traces}", "--tau", "inf"], 1, "tau must be finite, got inf"),

@@ -9,11 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import simulatency
 from simulatency import (
     RATIO_HYPOTHESIS,
     RATIO_LENGTH_ADAPTIVE,
     RATIO_REFERENCE,
+    TraceError,
     gen_wait_k,
+    read_sessions,
     session_to_record,
 )
 from simulatency import cli
@@ -93,3 +96,34 @@ def test_readme_metric_tables_list_the_table_names():
     step, wall_clock = readme_metric_tables()
     assert step == [m for m, (kernel, _) in cli.METRICS.items() if kernel is not None]
     assert wall_clock == [m for m, (_, kernel) in cli.METRICS.items() if kernel is not None]
+
+
+def readme_library_example():
+    """The code block of README's Library use section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"^```python\n(.*?)^```", section, re.M | re.S)[1]
+
+
+def test_readme_library_example_prints_what_eval_reports(capsys, monkeypatch):
+    """Run once per session of the speech fixture, the example prints the
+    values its comments give, then the session's ``atd`` as ``eval`` reports
+    it, or raises ``TraceError`` where ``eval`` leaves the cell empty."""
+    code = readme_library_example()
+    fixture = FIXTURES / "speech_traces.jsonl"
+    cells = {row["id"]: row["atd"] for row in eval_rows(capsys, str(fixture), "--metrics", "atd")[:-1]}
+    commented = re.findall(r"^print\(.*\)\s+# (\S+)$", code, re.M)
+    assert commented == ["9.55", "19.0"]
+    printed = {}
+    for session in read_sessions(fixture):
+        monkeypatch.setattr(simulatency, "read_sessions", lambda path: [session])
+        try:
+            exec(code, {})
+        except TraceError:
+            printed[session.id] = ""
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:len(commented)] == commented
+        for line in lines[len(commented):]:
+            session_id, atd = line.split()
+            printed[session_id] = f"{float(atd):.1f}"
+    assert printed == cells and "" in cells.values()

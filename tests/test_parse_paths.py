@@ -72,11 +72,12 @@ def alignment_records(draw):
 
 
 def as_floats(record, side, keys):
-    """``record`` with ``keys`` of every ``side`` entry written as floats."""
+    """``record`` with ``keys`` of every ``side`` entry written as floats, a
+    zero as ``-0.0``, which reads as ``0.0``."""
     record = copy.deepcopy(record)
     for entry in record[side]:
         for key in keys & entry.keys():
-            entry[key] = float(entry[key])
+            entry[key] = float(entry[key]) or -0.0
     return record
 
 

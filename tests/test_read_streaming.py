@@ -54,7 +54,7 @@ def run_parsed(monkeypatch):
             alive = sum(ref() is not None for ref in parsed[:-1])
             seen.append((out.getvalue(), list(out.flushed), alive))
             item = parse(*args, **kwargs)
-            # a session, or the start-time array of a sentence's links, which are slotted
+            # a session, or the start-time array of a sentence's links, freed with the links
             parsed.append(weakref.ref(item if parse_name == "record_to_session" else item[1].src_start))
             return item
 

@@ -314,7 +314,7 @@ def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
             raise TraceFormatError(f"line {lineno}: malformed JSON ({exc})") from None
         # only a \ud800-\udfff escape decodes to an unpaired surrogate, which
         # no report or trace could be written with
-        if "\\ud" in line or "\\uD" in line:
+        if "\\" in line and ("\\ud" in line or "\\uD" in line):
             try:
                 json.dumps(record, ensure_ascii=False).encode("utf-8")
             except UnicodeEncodeError as exc:

@@ -305,14 +305,15 @@ def per_token_fault(side_name, side, timed):
     return None
 
 
-side_times = st.sampled_from([None, -1.0, math.nan, 0.0, 1.0, 2.0, 2.0, 5.0])
+side_times = st.sampled_from([None, -1.0, math.nan, -0.0, 0.0, 1.0, 2, 2.0, 2.0, 5.0, math.inf])
 
 
 @st.composite
 def token_sides(draw):
     """Sides of up to 6 tokens: in order; each token valid but the side
     perhaps out of order; or with times drawn at random (None, negative,
-    NaN, equal and decreasing ones); and now and then a column one entry
+    NaN, signed zeros, an int among floats, infinity, equal and decreasing
+    ones); and now and then a column one entry
     longer or shorter than the others."""
     n = draw(st.integers(0, 6))
     kind = draw(st.sampled_from(["ordered", "tokens valid", "random"]))

@@ -519,6 +519,55 @@ def test_cli_eval_leaves_an_overflowing_corpus_mean_empty(tmp_path, caplog):
     assert main([*argv, "--strict"]) == 2
 
 
+SPEECH_TO_TEXT_RECORD = {
+    "modality": "speech-to-text", "source": [{"start": 0, "end": 1000}],
+    "target": [{"text": "y", "start": 1000, "end": 1500, "g": 1}],
+}
+
+
+def run_eval(tmp_path, caplog, record, *argv):
+    """Exit code, skip warnings and CSV report of ``eval`` over one ``record``."""
+    traces = tmp_path / "t.jsonl"
+    traces.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        code = main(["eval", str(traces), *argv, "-o", str(tmp_path / "r.csv")])
+    report = (tmp_path / "r.csv").read_text(encoding="utf-8")
+    return code, [r.getMessage() for r in caplog.records], report
+
+
+@pytest.mark.parametrize("kind, timeline, reason", [
+    ("nca", "ca", "cannot realize 'ca' timeline from 'nca' trace"),
+    ("ca", "nca", "missing computation-span annotations"),
+], ids=["ca from nca", "nca from ca without spans"])
+def test_cli_eval_skips_a_timeline_it_cannot_realize(tmp_path, caplog, kind, timeline, reason):
+    record = {"id": "s1", "timeline": kind, **SPEECH_TO_TEXT_RECORD}
+    code, warnings, report = run_eval(tmp_path, caplog, record, "--timeline", timeline)
+    assert code == 0
+    assert warnings == [f"s1: skipping {name} ({reason})" for name in ("atd", "start_offset", "end_offset")]
+    assert report.splitlines()[:2] == [
+        "id,modality,timeline,src_len,tgt_len", f"s1,speech-to-text,{kind},1,1"
+    ]
+
+
+def test_cli_eval_steps_timeline_skips_timed_metrics_of_a_timed_session(tmp_path, caplog):
+    record = {"id": "c1", "timeline": "ca", "spans": [], **SPEECH_TO_TEXT_RECORD}
+    code, warnings, report = run_eval(
+        tmp_path, caplog, record, "--timeline", "steps", "--metrics", "al,start_offset"
+    )
+    assert code == 0
+    assert warnings == ["c1: skipping start_offset (timed metrics disabled by --timeline steps)"]
+    row = read_csv(report)[0]
+    assert row["al"] == "1.0" and row["start_offset"] == ""
+
+
+def test_cli_eval_skips_timed_metrics_of_a_session_with_no_input(tmp_path, caplog):
+    record = {"id": "e1", "modality": "text-to-text", "timeline": "ca", "source": [], "target": []}
+    code, warnings, report = run_eval(tmp_path, caplog, record)
+    assert code == 0
+    assert warnings == [f"e1: skipping {name} (no input)" for name in ("atd", "start_offset", "end_offset")]
+    assert report.splitlines()[1] == "e1,text-to-text,ca,0,0"
+
+
 def test_cli_simulate_round_trips_through_eval(tmp_path, capsys):
     traces = tmp_path / "chunk.jsonl"
     code = main(
@@ -953,12 +1002,15 @@ def test_missing_file_is_data_error(capsys):
     assert main(["eval", "/nonexistent/path.jsonl"]) == 2
 
 
+ESCAPED_BACKSLASH = '"a\\\\ud800"'
+
+
 def write_exit_code_inputs(tmp_path):
     paths = {name: tmp_path / name for name in (
         "traces.jsonl", "missing.jsonl", "malformed.jsonl", "not_utf8", "late_not_utf8.jsonl",
         "deep.jsonl", "long_int.jsonl", "bad_record.jsonl", "big_field.csv", "short.csv",
         "repeated_id.jsonl", "repeated_sentence.jsonl", "huge_time.jsonl", "huge_link_time.jsonl",
-        "surrogate.jsonl", "huge_pair.jsonl",
+        "surrogate.jsonl", "escaped_backslash.jsonl", "huge_pair.jsonl", "mixed_timeline.jsonl",
     )}
     good = json.dumps(session_to_record(gen_wait_k(2, 4, 4))) + "\n"
     paths["traces.jsonl"].write_text(good, encoding="utf-8")
@@ -981,6 +1033,11 @@ def write_exit_code_inputs(tmp_path):
         json.dumps({"id": "a1", "links": [link]}) + "\n", encoding="utf-8"
     )
     paths["surrogate.jsonl"].write_text(good.replace("wait2", "\\ud800wait2"), encoding="utf-8")
+    # an escaped backslash, then "ud800": the text a\ud800, which holds no surrogate
+    other = json.dumps(session_to_record(gen_wait_k(3, 4, 4))) + "\n"
+    paths["escaped_backslash.jsonl"].write_text(
+        good.replace('"x1"', ESCAPED_BACKSLASH) + other, encoding="utf-8"
+    )
     far = {  # a chunk ending at 1e308 ms: a second one shifted after it ends at infinity
         "modality": "speech-to-text", "timeline": "nca",
         "source": [{"start": 0, "end": 10**308}],
@@ -988,6 +1045,11 @@ def write_exit_code_inputs(tmp_path):
     }
     paths["huge_pair.jsonl"].write_text(
         "".join(json.dumps({"id": key, **far}) + "\n" for key in "ab"), encoding="utf-8"
+    )
+    paths["mixed_timeline.jsonl"].write_text(
+        "".join(json.dumps({"id": key, "timeline": kind, **SPEECH_TO_TEXT_RECORD}) + "\n"
+                for key, kind in (("c1", "ca"), ("n1", "nca"))),
+        encoding="utf-8",
     )
     return {name.split(".")[0]: str(path) for name, path in paths.items()}
 
@@ -1038,6 +1100,9 @@ EXIT_CODES = [
      ["evs", "{huge_link_time}"], 2, "line 1: src_start is too large"),
     ("unpaired surrogate", ["eval", "{surrogate}"], 2, "line 1: unpaired surrogate '\\ud800'"),
     ("unpaired surrogate, concat", ["concat", "{surrogate}"], 2, "line 1: unpaired surrogate"),
+    ("escaped backslash before ud800, concat", ["concat", "{escaped_backslash}"], 0, ""),
+    ("concat of a ca and an nca session",
+     ["concat", "{mixed_timeline}"], 2, "simulatency: error: timeline mismatch: ca vs nca"),
     ("time beyond float range after concat",
      ["concat", "{huge_pair}"], 2, "a+b: token time inf is not integer milliseconds"),
     ("repeated session id", ["eval", "{repeated_id}"], 2, "line 2: duplicate id 'wait2-4x4'"),
@@ -1060,6 +1125,20 @@ def test_exit_code_of_each_error_class(tmp_path, capsys, argv, code, message):
     assert message in err
     if code == 2:
         assert err.startswith("simulatency: error: ") and err.count("\n") == 1
+
+
+def test_concat_writes_an_escaped_backslash_back_byte_for_byte(tmp_path, capsys):
+    files = write_exit_code_inputs(tmp_path)
+    assert main(["concat", files["escaped_backslash"]]) == 0
+    out = capsys.readouterr().out
+    assert '"text": ' + ESCAPED_BACKSLASH in out
+    assert json.loads(out)["source"][0]["text"] == "a\\ud800"
+
+
+def test_concat_of_mixed_timelines_writes_nothing(tmp_path, capsys):
+    files = write_exit_code_inputs(tmp_path)
+    assert main(["concat", files["mixed_timeline"]]) == 2
+    assert capsys.readouterr() == ("", "simulatency: error: timeline mismatch: ca vs nca\n")
 
 
 # ---------------------------------------------------------------------------

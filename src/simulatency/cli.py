@@ -152,7 +152,10 @@ def _output(path: str | None, replace: bool = False):
                 yield out
             if os.path.exists(path):
                 os.chmod(tmp, os.stat(path).st_mode & 0o7777)
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
         except BaseException:
             os.remove(tmp)
             raise
@@ -307,7 +310,7 @@ def _corpus_mean(values: list[float], name: str) -> float | None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    metrics = args.metrics.split(",") if args.metrics else None
+    metrics = args.metrics.split(",") if args.metrics is not None else None
     unknown = [m or "''" for m in metrics or () if m not in METRICS]  # '' for an empty entry
     if unknown:
         raise SystemExit(_usage_error(args, f"unknown metrics: {', '.join(unknown)}"))
@@ -366,7 +369,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         corpus_ms = map(all, zip(*(ms_flags[k] for k in {head[2] for head, _ in rows})))
         writer.writerow(["corpus", "", "", "", "", *_cells(corpus, columns, corpus_ms)])
 
-    if args.json:
+    if args.json is not None:
         report = {
             "sessions": [
                 {**dict(zip(_HEAD_FIELDS, head)), "metrics": values} for head, values in rows
@@ -472,7 +475,7 @@ def _numbers(rows: list[dict], name: str) -> list[float | None]:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     joined_columns: list[str] = []
-    if args.join:  # a repeated id would leave the join ambiguous
+    if args.join is not None:  # a repeated id would leave the join ambiguous
         columns, report = _rows_by_id(args.report)
         joined_columns, joined = _rows_by_id(args.join)
         rows = [{**row, **joined[key]} for key, row in report.items() if key in joined]
@@ -487,7 +490,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     values = {name: _numbers(rows, name) for name in dict.fromkeys((args.col_a, args.col_b))}
     result = spearman(values[args.col_a], values[args.col_b])
     print(f"rho={result.rho:.6f} p={result.pvalue:.6f} n={result.n}")
-    if args.output:
+    if args.output is not None:
         with _output(args.output) as fp:
             writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(["col_a", "col_b", "rho", "p", "n"])

@@ -48,10 +48,6 @@ class AlignedPair:
         if type(self.verified) is not bool:
             raise TraceError("verified must be a boolean")
 
-    @property
-    def span(self) -> float:
-        return self.tgt_start - self.src_start
-
 
 @dataclass(frozen=True, eq=False)
 class AlignmentLinks(_Columns):
@@ -72,14 +68,6 @@ class AlignmentLinks(_Columns):
 
     def __post_init__(self) -> None:
         self._check_lengths("link")
-
-    def select(self, mode: str) -> "AlignmentLinks":
-        """The links that ``mode`` averages: the verified ones, or all of them."""
-        if mode not in EVS_MODES:
-            raise ValueError(f"unknown EVS mode {mode!r}")
-        if mode == AUTOMATIC:
-            return self
-        return AlignmentLinks(*(tuple(compress(column, self.verified)) for column in self._columns))
 
 
 def _unique(links: AlignmentLinks) -> tuple[dict, set]:

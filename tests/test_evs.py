@@ -11,7 +11,6 @@ from simulatency import (
     dedupe_pairs,
     mean_evs,
 )
-from simulatency.evs import AlignmentLinks
 
 from test_metrics_time import contrast_links
 
@@ -83,7 +82,7 @@ def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         mean_evs([AlignedPair(1, 1, 0, 1, verified=True)], "sometimes")
     with pytest.raises(ValueError, match="^unknown EVS mode 'both'$"):
-        AlignmentLinks().select("both")
+        mean_evs((), "both")
 
 
 def test_bad_indices_rejected():

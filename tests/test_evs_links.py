@@ -6,9 +6,10 @@ included, the links, a slice of them, and the links that
 ``record_to_alignment`` parses from the same pairs written as a record must
 be indistinguishable from a tuple of pairs, and ``dedupe_pairs`` and
 ``mean_evs`` must give, bit for bit, what a literal first-occurrence dedupe
-on indices and start times and a plain ``sum(p.span for p in selected) /
-len(selected)`` give.  So must the duplicate count, the number of links
-used and the mean that ``evs`` takes from one walk of the links.
+on indices and start times and a plain ``sum(p.tgt_start - p.src_start for p
+in selected) / len(selected)`` give.  So must the duplicate count, the
+number of links used and the mean that ``evs`` takes from one walk of the
+links.
 """
 
 from dataclasses import replace
@@ -59,7 +60,7 @@ def oracle_select(pairs, mode):
 
 def oracle_mean(pairs, mode):
     selected = oracle_select(oracle_unique(pairs), mode)
-    return sum(p.span for p in selected) / len(selected) if selected else None
+    return sum(p.tgt_start - p.src_start for p in selected) / len(selected) if selected else None
 
 
 def field_types(pairs):
@@ -87,8 +88,6 @@ def assert_links_behave_as(links, pairs, data):
     assert list(links) == list(pairs) and field_types(links) == field_types(pairs)
     assert links == pairs and pairs == links and hash(links) == hash(pairs)
     assert links == AlignmentLinks.of(pairs)
-    for mode in (VERIFIED_ONLY, AUTOMATIC):
-        assert links.select(mode) == oracle_select(pairs, mode)
     if pairs:
         last = pairs[-1]
         changed = pairs[:-1] + (

@@ -1008,7 +1008,7 @@ ESCAPED_BACKSLASH = '"a\\\\ud800"'
 def write_exit_code_inputs(tmp_path):
     paths = {name: tmp_path / name for name in (
         "traces.jsonl", "missing.jsonl", "malformed.jsonl", "not_utf8", "late_not_utf8.jsonl",
-        "deep.jsonl", "long_int.jsonl", "bad_record.jsonl", "big_field.csv", "short.csv",
+        "deep.jsonl", "long_int.jsonl", "bad_record.jsonl", "big_field.csv", "short.csv", "three.csv",
         "repeated_id.jsonl", "repeated_sentence.jsonl", "huge_time.jsonl", "huge_link_time.jsonl",
         "surrogate.jsonl", "escaped_backslash.jsonl", "huge_pair.jsonl", "mixed_timeline.jsonl",
     )}
@@ -1022,6 +1022,7 @@ def write_exit_code_inputs(tmp_path):
     paths["bad_record.jsonl"].write_text('{"id": "x"}\n', encoding="utf-8")
     paths["big_field.csv"].write_text("id,a,b\ns1,1,1\ns2," + "9" * 200_000 + ",2\n", encoding="utf-8")
     paths["short.csv"].write_text("id,a,b\ns1,1,1\ns2,2,2\n", encoding="utf-8")
+    paths["three.csv"].write_text("id,a,b\ns1,1,1\ns2,2,3\ns3,3,2\n", encoding="utf-8")
     paths["repeated_id.jsonl"].write_text(good * 2, encoding="utf-8")
     sentence = '{"id": "a1", "links": []}\n'
     paths["repeated_sentence.jsonl"].write_text(sentence * 2, encoding="utf-8")
@@ -1081,6 +1082,7 @@ EXIT_CODES = [
     ("unknown --metrics name, before the file is read",
      ["eval", "{missing}", "--metrics", "al,bogus"], 1, "unknown metrics: bogus"),
     ("empty --metrics entry", ["eval", "{traces}", "--metrics", "al,"], 1, "unknown metrics: ''"),
+    ("empty --metrics value", ["eval", "{traces}", "--metrics="], 1, "unknown metrics: ''"),
     ("repeated --metrics name",
      ["eval", "{traces}", "--metrics", "al,al,start_offset,start_offset", "--strict"], 1,
      "repeated metrics: al, start_offset"),
@@ -1109,6 +1111,11 @@ EXIT_CODES = [
     ("repeated session id, concat", ["concat", "{repeated_id}"], 2, "line 2: duplicate id"),
     ("repeated sentence id", ["evs", "{repeated_sentence}"], 2, "line 2: duplicate id 'a1'"),
     ("StatsError", ["correlate", "{short}", *CORRELATE_AB], 2, "insufficient samples"),
+    ("empty --json value", ["eval", "{traces}", "--json="], 2, "No such file or directory: ''"),
+    ("empty --join value",
+     ["correlate", "{three}", *CORRELATE_AB, "--join="], 2, "No such file or directory: ''"),
+    ("empty -o value, correlate",
+     ["correlate", "{three}", *CORRELATE_AB, "-o="], 2, "No such file or directory: ''"),
     ("-o and --json naming one file, before the file is read",
      ["eval", "{missing}", "-o", "{short}", "--json", "{short}"], 1,
      "-o and --json name the same file"),
@@ -1139,6 +1146,18 @@ def test_concat_of_mixed_timelines_writes_nothing(tmp_path, capsys):
     files = write_exit_code_inputs(tmp_path)
     assert main(["concat", files["mixed_timeline"]]) == 2
     assert capsys.readouterr() == ("", "simulatency: error: timeline mismatch: ca vs nca\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--strategy", "wait-k", "--k", "2"],
+    ["concat", str(FIXTURES / "contrast_traces.jsonl")],
+    ["evs", str(FIXTURES / "contrast_alignments.jsonl")],
+])
+def test_an_empty_o_value_is_named_and_leaves_no_temporary_file(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "-o="]) == 2
+    assert capsys.readouterr().err == "simulatency: error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ splits a session's speech chunks), ``TimedToken.timed`` and
 ``TimedToken.duration``, ``+`` on a ``TokenSide``, and the contrast-pair
 constructors ``contrast_balanced``, ``contrast_frontloaded`` and
 ``contrast_alignments`` (``fixtures/contrast_traces.jsonl`` and
-``fixtures/contrast_alignments.jsonl`` are the one copy of that pair).
+``fixtures/contrast_alignments.jsonl`` are the one copy of that pair), and
+``AlignmentLinks.select`` and ``AlignedPair.span`` (``evs._tally`` is the one
+rule that picks a sentence's links by mode and spans a link).
 """
 
 import importlib
@@ -18,6 +20,7 @@ import pytest
 
 import simulatency
 from simulatency.core import TimedToken, TokenSide
+from simulatency.evs import AlignedPair, AlignmentLinks
 
 REMOVED_FUNCTIONS = (
     "contrast_alignments",
@@ -57,3 +60,8 @@ def test_removed_token_helpers_are_gone():
             side + other
         with pytest.raises(TypeError):
             other + side
+
+
+def test_removed_link_helpers_are_gone():
+    assert not hasattr(AlignmentLinks(), "select")
+    assert not hasattr(AlignedPair(1, 1, 0.0, 0.0), "span")

@@ -100,6 +100,7 @@ def _t_sf_two_sided_by_quadrature(t, df):
         (list(range(1, 13)), [2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11]),
         (list(range(1, 15)), [1, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 14, 12]),
         (list(range(1, 11)), [3, 1, 4, 10, 5, 9, 2, 6, 8, 7]),
+        (list(range(1, 10)), [1, 3, 7, 9, 8, 6, 5, 4, 2]),  # rho = 0: the x >= 1 return
     ],
 )
 def test_t_approximation_pvalue_matches_quadrature(a, b):

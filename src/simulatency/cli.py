@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import logging
 import math
@@ -101,13 +102,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class _WarningCounter(logging.Handler):
-    def __init__(self) -> None:
-        super().__init__(level=logging.WARNING)
-        self.count = 0
+class _Warnings(logging.StreamHandler):
+    """The warnings of one ``main`` call: counted, for --strict, and printed to
+    stderr unless ``quiet`` (a root handler shows them then)."""
+
+    def __init__(self, quiet: bool) -> None:
+        super().__init__(sys.stderr)
+        self.setLevel(logging.WARNING)
+        self.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+        self.quiet, self.count = quiet, 0
 
     def emit(self, record: logging.LogRecord) -> None:
         self.count += 1
+        if not self.quiet:
+            super().emit(record)
 
 
 def _parse_int_spec(spec: str) -> list[int]:
@@ -132,18 +140,20 @@ def _parse_int_spec(spec: str) -> list[int]:
 
 
 @contextlib.contextmanager
-def _output(path: str | None, replace: bool = False):
-    """Stdout for None or "-", else ``path`` opened for writing and closed on exit.
-    With ``replace``, a regular file (not a link, pipe or device) is written beside
-    ``path`` and moved over it on exit, so a run that fails leaves it as it was."""
+def _output(path: str | None):
+    """Stdout for None or "-"; ``path`` itself, written as it goes, if it is a link
+    or a special file (a pipe, a device); else a file written beside ``path`` and
+    moved over it on exit, so a run that fails leaves ``path`` as it was."""
     if path is None or path == "-":
         yield sys.stdout
-    elif not replace or _in_place(path):
+    elif _in_place(path):
         with open(path, "w", encoding="utf-8", newline="") as out:
             yield out
     else:
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
+            if not path:  # names no file to move over: fail before one is made
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
             out = open(tmp, "x", encoding="utf-8", newline="")  # the mode a new path would get
         except OSError as exc:  # named by the path asked for, not the temporary one
             raise OSError(exc.errno, exc.strerror, path) from None
@@ -154,7 +164,7 @@ def _output(path: str | None, replace: bool = False):
                 os.chmod(tmp, os.stat(path).st_mode & 0o7777)
             try:
                 os.replace(tmp, path)
-            except OSError as exc:
+            except OSError as exc:  # in a sticky directory, say, a file of another user
                 raise OSError(exc.errno, exc.strerror, path) from None
         except BaseException:
             os.remove(tmp)
@@ -162,7 +172,7 @@ def _output(path: str | None, replace: bool = False):
 
 
 def _in_place(path: str) -> bool:
-    """Whether ``_output(path, replace=True)`` writes ``path`` in place: a link or a special file."""
+    """Whether ``_output(path)`` writes ``path`` in place: a link or a special file."""
     return os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
 
 
@@ -188,7 +198,7 @@ def _write_records(path: str | None, sessions: Iterable[SessionTrace]) -> None:
     encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode  # fresh: no cycles
     lines = (encode(session_to_record(session)) + "\n" for session in sessions)
     first = next(lines, "")
-    with _output(path, replace=True) as out:
+    with _output(path) as out:
         out.write(first)
         out.flush()  # the first record leaves even if out is buffered
         out.writelines(lines)
@@ -338,7 +348,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rows = []  # (head, values): the row's _HEAD_FIELDS cells and its metric values
     ms_flags: dict[str, list[bool]] = {}  # per timeline, whether each column is in ms
     columns, written = None, 0  # written: rows in the CSV
-    with _output(args.output) as out:  # opened after the read, so -o may name the input
+    json_out = _output(args.json) if args.json is not None else contextlib.nullcontext()
+    # both opened after the read, so -o may name the input, and before any session is scored
+    with _output(args.output) as out, json_out as fp:
         writer = csv.writer(out, lineterminator="\n")
 
         def write(final: bool) -> None:  # the header once final, then the rows not yet written
@@ -368,17 +380,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         # in ms where the sessions of every timeline present score the metric in ms
         corpus_ms = map(all, zip(*(ms_flags[k] for k in {head[2] for head, _ in rows})))
         writer.writerow(["corpus", "", "", "", "", *_cells(corpus, columns, corpus_ms)])
-
-    if args.json is not None:
-        report = {
-            "sessions": [
-                {**dict(zip(_HEAD_FIELDS, head)), "metrics": values} for head, values in rows
-            ],
-            "corpus": {"n_sessions": len(rows), "metrics": corpus},
-        }
-        with _output(args.json) as fp:
-            json.dump(report, fp, ensure_ascii=False, indent=2)
-            fp.write("\n")
+        if fp is not None:  # in one write, where json.dump makes one per encoder chunk
+            objects = [{**dict(zip(_HEAD_FIELDS, head)), "metrics": values} for head, values in rows]
+            report = {"sessions": objects, "corpus": {"n_sessions": len(rows), "metrics": corpus}}
+            fp.write(json.dumps(report, ensure_ascii=False, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -425,7 +430,7 @@ def cmd_evs(args: argparse.Namespace) -> int:
     first = next(rows, None)
     if first is None:
         raise TraceError(f"{args.alignments}: no sentences")
-    with _output(args.output, replace=True) as out:  # a run that fails leaves a -o file as it was
+    with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerows([["id", "n_links", "n_used", "mean_evs"], first])
         out.flush()  # the header and the first row leave even if out is buffered
@@ -488,10 +493,11 @@ def cmd_correlate(args: argparse.Namespace) -> int:
             files = f"{args.report} or {args.join}" if args.join else args.report
             raise TraceError(f"no column {name!r} in {files}")
     values = {name: _numbers(rows, name) for name in dict.fromkeys((args.col_a, args.col_b))}
-    result = spearman(values[args.col_a], values[args.col_b])
-    print(f"rho={result.rho:.6f} p={result.pvalue:.6f} n={result.n}")
-    if args.output is not None:
-        with _output(args.output) as fp:
+    # opened after the read, so -o may name the report, and before the result is printed
+    with _output(args.output) if args.output is not None else contextlib.nullcontext() as fp:
+        result = spearman(values[args.col_a], values[args.col_b])
+        print(f"rho={result.rho:.6f} p={result.pvalue:.6f} n={result.n}")
+        if fp is not None:
             writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(["col_a", "col_b", "rho", "p", "n"])
             writer.writerow(
@@ -582,19 +588,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # the handlers, and a level that lets warnings through, live on the package
+    # the handler, and a level that lets warnings through, live on the package
     # logger for this call only, so no state is left behind and --strict counts
     # whatever the root's level; a root handler, if any, shows the warnings
     level = logger.level
     logger.setLevel(min(logger.getEffectiveLevel(), logging.WARNING))
-    counter = _WarningCounter()
-    handlers: list[logging.Handler] = [counter]
-    if not logging.getLogger().handlers:
-        printer = logging.StreamHandler(sys.stderr)
-        printer.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-        handlers.append(printer)
-    for handler in handlers:
-        logger.addHandler(handler)
+    warnings = _Warnings(quiet=bool(logging.getLogger().handlers))
+    logger.addHandler(warnings)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -608,12 +608,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     finally:
-        for handler in handlers:
-            logger.removeHandler(handler)
+        logger.removeHandler(warnings)
         logger.setLevel(level)
-    if code == EXIT_OK and getattr(args, "strict", False) and counter.count:
+    if code == EXIT_OK and getattr(args, "strict", False) and warnings.count:
         print(
-            f"simulatency: error: {counter.count} warnings escalated by --strict",
+            f"simulatency: error: {warnings.count} warnings escalated by --strict",
             file=sys.stderr,
         )
         return EXIT_DATA

@@ -140,13 +140,14 @@ def test_a_later_pair_that_fails_leaves_an_existing_output_and_its_mode_as_they_
     assert sorted(os.listdir(tmp_path)) == ["joined.jsonl", "mixed.jsonl", "traces.jsonl"]
 
 
-def test_a_replaced_output_keeps_its_mode_and_a_new_one_gets_the_default(traces, tmp_path):
+@pytest.mark.parametrize("command", ["concat", "eval"])
+def test_a_replaced_output_keeps_its_mode_and_a_new_one_gets_the_default(traces, tmp_path, command):
     old, new, plain = tmp_path / "old.jsonl", tmp_path / "new.jsonl", tmp_path / "plain"
     old.write_bytes(b"")
     old.chmod(0o640)
     plain.write_bytes(b"")  # the mode open() gives a new file under this umask
     for path in (old, new):
-        assert main(["concat", str(traces), "-o", str(path)]) == 0
+        assert main([command, str(traces), "-o", str(path)]) == 0
     assert old.read_bytes() == new.read_bytes() != b""
     assert old.stat().st_mode & 0o777 == 0o640
     assert new.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777

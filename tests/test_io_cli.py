@@ -29,6 +29,7 @@ from simulatency import (
     record_to_session,
     session_to_record,
 )
+from simulatency import cli
 from simulatency.cli import main
 from simulatency.trace_io import _side_columns
 
@@ -1152,12 +1153,54 @@ def test_concat_of_mixed_timelines_writes_nothing(tmp_path, capsys):
     ["simulate", "--strategy", "wait-k", "--k", "2"],
     ["concat", str(FIXTURES / "contrast_traces.jsonl")],
     ["evs", str(FIXTURES / "contrast_alignments.jsonl")],
+    ["eval", str(FIXTURES / "contrast_traces.jsonl")],
+    ["eval", str(FIXTURES / "contrast_traces.jsonl"), "--json", "r.json"],
+    ["correlate", str(FIXTURES / "mixed_report.csv"), "--col-a", "al", "--col-b", "atd"],
 ])
 def test_an_empty_o_value_is_named_and_leaves_no_temporary_file(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "-o="]) == 2
     assert capsys.readouterr().err == "simulatency: error: [Errno 2] No such file or directory: ''\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("json_path", ["missing/r.json", ""])
+def test_a_json_report_that_cannot_be_opened_fails_before_any_session_is_scored(
+    tmp_path, monkeypatch, capsys, json_path
+):
+    monkeypatch.chdir(tmp_path)  # where a temporary file for an empty path would go
+    given, report = str(tmp_path / json_path) if json_path else "", tmp_path / "r.csv"
+    report.write_bytes(b"kept\n")
+    report.chmod(0o640)
+    scored, score = [], cli._eval_session
+    monkeypatch.setattr(cli, "_eval_session", lambda *args: scored.append(args[0].id) or score(*args))
+    assert main(["eval", str(FIXTURES / "contrast_traces.jsonl"), "--json", given, "-o", str(report)]) == 2
+    assert capsys.readouterr().err == f"simulatency: error: [Errno 2] No such file or directory: {given!r}\n"
+    assert report.read_bytes() == b"kept\n"
+    assert report.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["r.csv"]
+    assert scored == []
+
+
+def test_a_replace_that_fails_names_the_output_and_leaves_it_as_it_was(tmp_path, monkeypatch, capsys):
+    report = tmp_path / "r.csv"
+    report.write_bytes(b"kept\n")
+
+    def refused(src, dst):  # as in a sticky directory, for a file of another user
+        raise PermissionError(1, "Operation not permitted", src, dst)
+
+    monkeypatch.setattr(os, "replace", refused)
+    assert main(["eval", str(FIXTURES / "contrast_traces.jsonl"), "-o", str(report)]) == 2
+    assert capsys.readouterr().err == f"simulatency: error: [Errno 1] Operation not permitted: '{report}'\n"
+    assert report.read_bytes() == b"kept\n"
+    assert os.listdir(tmp_path) == ["r.csv"]
+
+
+def test_correlate_prints_no_result_when_its_output_cannot_be_opened(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.csv"
+    argv = ["correlate", str(FIXTURES / "mixed_report.csv"), "--col-a", "al", "--col-b", "atd", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"simulatency: error: [Errno 2] No such file or directory: '{out}'\n")
 
 
 # ---------------------------------------------------------------------------

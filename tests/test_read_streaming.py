@@ -188,8 +188,14 @@ def test_evs_may_replace_its_own_input(tmp_path):
     assert source.read_bytes() == EVS_REPORT.read_bytes()
 
 
-@pytest.mark.parametrize("command, src", [("concat", "contrast_traces.jsonl"), ("evs", "evs_alignments.jsonl")])
-def test_an_output_that_cannot_be_created_is_named_as_given(tmp_path, capsys, command, src):
+@pytest.mark.parametrize("command, src, args", [
+    ("concat", "contrast_traces.jsonl", []),
+    ("evs", "evs_alignments.jsonl", []),
+    ("eval", "contrast_traces.jsonl", []),
+    ("eval", "contrast_traces.jsonl", ["--json", os.devnull]),  # -o is opened first
+    ("correlate", "mixed_report.csv", ["--col-a", "al", "--col-b", "atd"]),
+], ids=["concat-contrast_traces.jsonl", "evs-evs_alignments.jsonl", "eval", "eval-json", "correlate"])
+def test_an_output_that_cannot_be_created_is_named_as_given(tmp_path, capsys, command, src, args):
     out = tmp_path / "missing" / "out.txt"
-    assert main([command, str(FIXTURES / src), "-o", str(out)]) == 2
+    assert main([command, str(FIXTURES / src), *args, "-o", str(out)]) == 2
     assert capsys.readouterr().err == f"simulatency: error: [Errno 2] No such file or directory: '{out}'\n"

@@ -32,12 +32,12 @@ from .core import (
     SubSegmentConfig,
     TokenGranularity,
     TraceError,
-    WORD,
-    chunk_ends_from_reads,
+    _reference_length,
     concat_sessions,
     regroup_tokens,
     subsegment_session,
 )
+from .core import chunk_ends_from_reads  # unused, but bench/tracer.py patches it
 from .evs import EVS_MODES, VERIFIED_ONLY, _tally
 from .evs import dedupe_pairs, mean_evs  # unused, but bench/tracer.py patches them
 from .metrics_step import (
@@ -150,7 +150,8 @@ def _output(path: str | None):
         with open(path, "w", encoding="utf-8", newline="") as out:
             yield out
     else:
-        tmp = f"{path}.{os.getpid()}.tmp"
+        # one name per call: a file left by a killed run with our pid is not ours to remove
+        tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
         try:
             if not path:  # names no file to move over: fail before one is made
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
@@ -184,10 +185,10 @@ def _refuse_in_place_input(args: argparse.Namespace, source: str) -> None:
 
 def _same_file(a: str, b: str) -> bool:
     """Whether paths ``a`` and ``b`` name one file: by inode when both exist,
-    else by their normalised absolute paths."""
+    else by their paths with every link resolved."""
     if os.path.exists(a) and os.path.exists(b):
         return os.path.samefile(a, b)
-    return os.path.abspath(a) == os.path.abspath(b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _write_records(path: str | None, sessions: Iterable[SessionTrace]) -> None:
@@ -208,25 +209,12 @@ def _write_records(path: str | None, sessions: Iterable[SessionTrace]) -> None:
 # eval
 # ---------------------------------------------------------------------------
 
-def _reference_length(reference: str | None, gran: TokenGranularity) -> int | None:
-    if reference is None:
-        return None
-    if gran.unit == WORD:
-        n = len(reference.split())
-    else:
-        n = math.ceil(len("".join(reference.split())) / gran.group_size)
-    return n or None
-
-
 def _step_input(session: SessionTrace, gran: TokenGranularity) -> StepMetricInput:
-    reads, tgt_len = session.reads, session.tgt_len  # regrouping words is the identity
-    if gran.unit != WORD:
-        target, reads = regroup_tokens(session.target, reads, gran, chunk_ends_from_reads(reads))
-        tgt_len = len(target)
+    reads = regroup_tokens(session.reads, gran)
     return StepMetricInput(
         reads=reads,
         src_len=session.src_len,
-        tgt_len=tgt_len,
+        tgt_len=len(reads),
         ref_len=_reference_length(session.reference, gran),
     )
 

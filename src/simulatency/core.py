@@ -170,6 +170,8 @@ class TokenGranularity:
     def __post_init__(self) -> None:
         if self.unit not in (WORD, CHARACTER_GROUP):
             raise ValueError(f"unknown granularity unit {self.unit!r}")
+        if type(self.group_size) is not int:  # no bool either
+            raise ValueError(f"group_size must be an integer, got {self.group_size!r}")
         if self.group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
 
@@ -374,46 +376,30 @@ def chunk_ends_from_reads(reads: tuple[int, ...] | list[int]) -> tuple[int, ...]
     return tuple(ends)
 
 
-def regroup_tokens(
-    tokens: Iterable[TimedToken],
-    reads: tuple[int, ...] | list[int],
-    gran: TokenGranularity,
-    chunk_ends: tuple[int, ...] | list[int],
-) -> tuple[TokenSide, tuple[int, ...]]:
-    """Re-tokenize a target side into fixed-size character groups per chunk.
-
-    Within each output chunk, consecutive character tokens are grouped into
-    tokens of ``group_size``; a trailing remainder shorter than the group size
-    forms its own token.  The read count carried by a group is the g of its
-    last character: the group is not determined until that character is
-    emitted.  Word granularity is the identity.
-    """
-    tokens = TokenSide.of(tokens)
+def regroup_tokens(reads: tuple[int, ...] | list[int], gran: TokenGranularity) -> tuple[int, ...]:
+    """``reads`` counted in ``gran`` units: under ``char:N`` each output chunk, a
+    run of L equal g, becomes ceil(L/N) tokens that carry that g; words stay."""
     reads = tuple(reads)
-    if len(tokens) != len(reads):
-        raise TraceError(f"{len(reads)} reads for {len(tokens)} tokens")
     if gran.unit == WORD:
-        return tokens, reads
+        return reads
+    grouped: list[int] = []
+    first = 0
+    for end in chunk_ends_from_reads(reads):
+        grouped += repeat(reads[first], -(-(end - first) // gran.group_size))
+        first = end
+    return tuple(grouped)
 
-    bounds = list(chunk_ends)
-    if not bounds or bounds[-1] != len(tokens) or bounds != sorted(set(bounds)):
-        raise TraceError(f"chunk boundaries {bounds} do not partition {len(tokens)} tokens")
-    if bounds[0] < 1:
-        raise TraceError(f"chunk boundary {bounds[0]} out of range")
 
-    texts, starts, ends, new_reads = [], [], [], []
-    chunk_start = 0
-    for bound in bounds:
-        for first in range(chunk_start, bound, gran.group_size):
-            last = min(first + gran.group_size, bound) - 1
-            group = tokens.text[first : last + 1]
-            texts.append(None if None in group else "".join(group))
-            timed = tokens.start[first] is not None and tokens.start[last] is not None
-            starts.append(tokens.start[first] if timed else None)
-            ends.append(tokens.end[last] if timed else None)
-            new_reads.append(reads[last])
-        chunk_start = bound
-    return TokenSide(tuple(texts), tuple(starts), tuple(ends)), tuple(new_reads)
+def _reference_length(reference: str | None, gran: TokenGranularity) -> int | None:
+    """``reference`` counted in ``gran`` units: its words, or ceil(its non-space
+    characters / N); None without one, or for a blank one."""
+    if reference is None:
+        return None
+    if gran.unit == WORD:
+        n = len(reference.split())
+    else:
+        n = -(-len("".join(reference.split())) // gran.group_size)
+    return n or None
 
 
 def _shift(column: tuple, offset: float) -> tuple:

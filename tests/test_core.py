@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -436,67 +438,49 @@ def test_chunk_at_the_subtoken_bound_is_split():
 # regroup_tokens
 # ---------------------------------------------------------------------------
 
-def chars(n, reads):
-    tokens = tuple(TimedToken(text=chr(ord("a") + i)) for i in range(n))
-    return tokens, tuple(reads)
+CHAR2 = TokenGranularity("character-group", 2)
 
 
 def test_regroup_even_chunk():
-    tokens, reads = chars(4, [1, 1, 1, 1])
-    grouped, g = regroup_tokens(tokens, reads, TokenGranularity("character-group", 2), (4,))
-    assert len(grouped) == 2
-    assert [t.text for t in grouped] == ["ab", "cd"]
-    assert g == (1, 1)
+    assert regroup_tokens((1, 1, 1, 1), CHAR2) == (1, 1)
 
 
 def test_regroup_odd_chunk_keeps_remainder_token():
-    tokens, reads = chars(5, [1, 1, 1, 1, 1])
-    grouped, g = regroup_tokens(tokens, reads, TokenGranularity("character-group", 2), (5,))
-    assert [t.text for t in grouped] == ["ab", "cd", "e"]
+    assert regroup_tokens((1, 1, 1, 1, 1), CHAR2) == (1, 1, 1)
 
 
 def test_regroup_respects_chunk_boundaries():
-    tokens, reads = chars(5, [1, 1, 1, 2, 2])
-    grouped, g = regroup_tokens(tokens, reads, TokenGranularity("character-group", 2), (3, 5))
-    assert [t.text for t in grouped] == ["ab", "c", "de"]
-    assert g == (1, 1, 2)
-
-
-def test_regroup_group_carries_g_of_last_character():
-    tokens, _ = chars(4, [])
-    grouped, g = regroup_tokens(
-        tokens, (1, 2, 2, 3), TokenGranularity("character-group", 2), (4,)
-    )
-    assert g == (2, 3)
+    assert regroup_tokens((1, 1, 1, 2, 2), CHAR2) == (1, 1, 2)
 
 
 def test_regroup_size_one_is_identity():
-    tokens, reads = chars(5, [1, 1, 2, 2, 3])
-    grouped, g = regroup_tokens(
-        tokens, reads, TokenGranularity("character-group", 1), (2, 5)
-    )
-    assert [t.text for t in grouped] == [t.text for t in tokens]
-    assert g == reads
+    reads = (1, 1, 2, 2, 3)
+    assert regroup_tokens(reads, TokenGranularity("character-group", 1)) == reads
 
 
 def test_regroup_word_granularity_is_identity():
-    tokens, reads = chars(3, [1, 2, 3])
-    grouped, g = regroup_tokens(tokens, reads, TokenGranularity(), (3,))
-    assert grouped == tokens
-    assert g == reads
+    assert regroup_tokens([1, 1, 3], TokenGranularity()) == (1, 1, 3)
 
 
-def test_regroup_bad_boundaries_rejected():
-    tokens, reads = chars(4, [1, 1, 1, 1])
-    gran = TokenGranularity("character-group", 2)
-    with pytest.raises(TraceError):
-        regroup_tokens(tokens, reads, gran, (5,))
-    with pytest.raises(TraceError):
-        regroup_tokens(tokens, reads, gran, (2,))
-    with pytest.raises(TraceError, match=r"^chunk boundary 0 out of range$"):
-        regroup_tokens(tokens, reads, gran, (0, 4))
-    with pytest.raises(TraceError, match="^3 reads for 4 tokens$"):
-        regroup_tokens(tokens, reads[:3], gran, (4,))
+def char_units(reads, size):
+    """The g of each ``size``-character unit, walking the characters one by one:
+    a unit starts at the first character, when g changes and when the current
+    one is full, and carries the g of its last character."""
+    units, held = [], 0
+    for t, g in enumerate(reads):
+        if t == 0 or g != reads[t - 1] or held == size:
+            units.append(None)
+            held = 0
+        units[-1] = g
+        held += 1
+    return tuple(units)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=300), st.integers(1, 6))
+def test_regroup_counts_the_character_units_of_a_schedule(steps, size):
+    reads = tuple(accumulate(steps, initial=1))[1:]  # never decreasing, every g >= 1
+    assert regroup_tokens(reads, TokenGranularity("character-group", size)) == char_units(reads, size)
 
 
 def test_granularity_from_spec():
@@ -508,6 +492,12 @@ def test_granularity_from_spec():
         TokenGranularity.from_spec("bytes")
     with pytest.raises(ValueError, match="^unknown granularity unit 'syllable'$"):
         TokenGranularity("syllable")
+
+
+@pytest.mark.parametrize("size", [2.5, "2", True], ids=["float", "str", "bool"])
+def test_granularity_refuses_a_group_size_that_is_not_an_int(size):
+    with pytest.raises(ValueError, match=f"^group_size must be an integer, got {re.escape(repr(size))}$"):
+        TokenGranularity("character-group", size)
 
 
 def test_chunk_ends_from_reads():

@@ -300,10 +300,11 @@ def test_cli_eval_json_dash_prints_the_json_report_to_stdout(tmp_path, capsys, m
     assert not (tmp_path / "-").exists()
 
 
-@pytest.mark.parametrize("json_path", ["r.out", "./r.out", "sub/../r.out", "linked.out"])
+@pytest.mark.parametrize("json_path", ["r.out", "./r.out", "sub/../r.out", "linked.out", "here/r.out"])
 def test_cli_eval_refuses_one_file_for_csv_and_json(tmp_path, capsys, monkeypatch, json_path):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
+    (tmp_path / "here").symlink_to(tmp_path)  # here/r.out: r.out by a linked directory
     if json_path == "linked.out":  # two names of one existing file
         (tmp_path / "r.out").write_text("kept\n")
         (tmp_path / "linked.out").hardlink_to(tmp_path / "r.out")
@@ -567,6 +568,17 @@ def test_cli_eval_skips_timed_metrics_of_a_session_with_no_input(tmp_path, caplo
     assert code == 0
     assert warnings == [f"e1: skipping {name} (no input)" for name in ("atd", "start_offset", "end_offset")]
     assert report.splitlines()[1] == "e1,text-to-text,ca,0,0"
+
+
+@pytest.mark.parametrize("granularity", ["word", "char:2"])
+def test_cli_eval_skips_step_metrics_of_a_session_with_no_target_alike_at_each_granularity(
+    tmp_path, caplog, granularity
+):
+    record = {"id": "empty", "modality": "text-to-text", "timeline": "steps", "source": [{"text": "a"}], "target": []}
+    code, warnings, report = run_eval(tmp_path, caplog, record, "--granularity", granularity, "--metrics", "al")
+    assert code == 0
+    assert warnings == ["empty: skipping al (empty reads: nothing was translated)"]
+    assert report.splitlines()[1] == "empty,text-to-text,steps,1,0,"  # an empty al cell
 
 
 def test_cli_simulate_round_trips_through_eval(tmp_path, capsys):
@@ -1180,6 +1192,32 @@ def test_a_json_report_that_cannot_be_opened_fails_before_any_session_is_scored(
     assert report.stat().st_mode & 0o777 == 0o640
     assert os.listdir(tmp_path) == ["r.csv"]
     assert scored == []
+
+
+def test_a_temporary_file_left_by_a_killed_run_with_our_pid_is_no_obstacle(tmp_path):
+    report, fresh, plain = tmp_path / "r.csv", tmp_path / "fresh.csv", tmp_path / "plain"
+    stale = tmp_path / f"r.csv.{os.getpid()}.tmp"
+    stale.write_bytes(b"left over\n")
+    stale.chmod(0o600)
+    plain.write_bytes(b"")  # the mode open() gives a new file under this umask
+    for path in (fresh, report):
+        assert main(["eval", str(FIXTURES / "contrast_traces.jsonl"), "-o", str(path)]) == 0
+    assert report.read_bytes() == fresh.read_bytes() != b""
+    assert report.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777
+    assert stale.read_bytes() == b"left over\n"  # it may be live: not ours to remove
+    assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "plain", "r.csv", stale.name]
+
+
+def test_two_outputs_of_one_process_on_one_path_keep_their_own_temporary_files(tmp_path):
+    # as two threads that each run main with one -o: neither removes the other's file
+    report = tmp_path / "r.csv"
+    with cli._output(str(report)) as outer:
+        outer.write("outer\n")
+        with cli._output(str(report)) as inner:
+            inner.write("inner\n")
+        assert report.read_text() == "inner\n"
+    assert report.read_text() == "outer\n"
+    assert os.listdir(tmp_path) == ["r.csv"]
 
 
 def test_a_replace_that_fails_names_the_output_and_leaves_it_as_it_was(tmp_path, monkeypatch, capsys):

@@ -363,11 +363,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             scored.update(rows[-1][1])
             write(scored >= may_score)
         write(True)
-        means = {m: _corpus_mean([v[m] for _, v in rows if m in v], m) for m in columns}
+        # a column's units: whether each row that scores it holds ms or unit steps
+        units = [{ms_flags[head[2]][i] for head, v in rows if m in v} for i, m in enumerate(columns)]
+        means = {}
+        for m, unit in zip(columns, units):
+            if len(unit) > 1:
+                logger.warning("corpus: skipping %s (unit-step and ms values do not average)", m)
+            else:
+                means[m] = _corpus_mean([v[m] for _, v in rows if m in v], m)
         corpus = {m: mean for m, mean in means.items() if mean is not None}
-        # in ms where the sessions of every timeline present score the metric in ms
-        corpus_ms = map(all, zip(*(ms_flags[k] for k in {head[2] for head, _ in rows})))
-        writer.writerow(["corpus", "", "", "", "", *_cells(corpus, columns, corpus_ms)])
+        writer.writerow(["corpus", "", "", "", "", *_cells(corpus, columns, map(all, units))])
         if fp is not None:  # in one write, where json.dump makes one per encoder chunk
             objects = [{**dict(zip(_HEAD_FIELDS, head)), "metrics": values} for head, values in rows]
             report = {"sessions": objects, "corpus": {"n_sessions": len(rows), "metrics": corpus}}

@@ -291,6 +291,13 @@ class SessionTrace:
                     raise TraceError(f"{side_name} tokens {last},{pos} out of order")
                 last, prev_start, prev_end = pos, start, end
 
+    def _derived(self, **fields) -> SessionTrace:
+        """This session with ``fields`` replaced, taken as given: for columns
+        derived from this checked session by a rule that keeps them valid."""
+        derived = object.__new__(SessionTrace)
+        derived.__dict__.update(self.__dict__, **fields)
+        return derived
+
     @property
     def src_len(self) -> int:
         return len(self.source)
@@ -493,6 +500,5 @@ def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
         target = TokenSide(texts, tuple(starts), tuple(ends))
         reads = chain.from_iterable(map(repeat, reads, counts))
 
-    return SessionTrace(
-        s.id, s.modality, s.timeline_kind, source, target, tuple(reads), s.reference, s.spans
-    )
+    # _split_chunks has checked what a split can break: durations, overlap, the bound, target order
+    return s._derived(source=source, target=target, reads=tuple(reads))

@@ -9,6 +9,7 @@ negative (a system can finish speaking before the input ends).
 from __future__ import annotations
 
 import logging
+import math
 
 from .core import CA, NCA, SessionTrace, TokenSide, TraceError
 from .metrics_step import _serialized_starts, _token_delay
@@ -73,4 +74,7 @@ def build_nca_timeline(s: SessionTrace) -> SessionTrace:
     starts = tuple(_serialized_starts([s.source.end[g - 1] for g in s.reads], durations))
     ends = tuple(start + duration for start, duration in zip(starts, durations))
     target = TokenSide(s.target.text, starts, ends)
+    if s.target.end[-1] < math.inf:  # starts stay >= 0, in order, each <= its end
+        return s._derived(timeline_kind=NCA, target=target, spans=None)
+    # an infinite time may give a duration of inf - inf, a NaN that the checks refuse
     return SessionTrace(s.id, s.modality, NCA, s.source, target, s.reads, s.reference, None)

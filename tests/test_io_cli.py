@@ -13,6 +13,8 @@ from simulatency import (
     CA,
     NCA,
     SPEECH_TO_TEXT,
+    STEPS,
+    TEXT_TO_TEXT,
     ComputationSpan,
     SessionTrace,
     StepMetricInput,
@@ -519,6 +521,36 @@ def test_cli_eval_leaves_an_overflowing_corpus_mean_empty(tmp_path, caplog):
     report = read_strict_json(tmp_path / "r.json")
     assert report["corpus"]["metrics"] == {}
     assert main([*argv, "--strict"]) == 2
+
+
+def test_cli_eval_leaves_a_corpus_mean_of_steps_and_ms_empty(tmp_path, caplog):
+    # atd is in unit steps on the steps session and in ms on the nca one; the
+    # other columns each hold one unit and keep their means
+    balanced = contrast_pair()[0]
+    assert balanced.timeline_kind == NCA
+    traces = tmp_path / "mixed.jsonl"
+    write_traces(traces, [gen_wait_k(2, 4, 4), balanced])
+    argv = ["eval", str(traces), "-o", str(tmp_path / "r.csv")]
+    with caplog.at_level("WARNING"):
+        assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "corpus: skipping atd (unit-step and ms values do not average)"
+    ]
+    steps, nca, corpus = read_csv((tmp_path / "r.csv").read_text(encoding="utf-8"))
+    assert steps["atd"] == "2.0" and nca["atd"] == "5285.7" and corpus["atd"] == ""
+    assert corpus["al"] == steps["al"] and corpus["start_offset"] == nca["start_offset"]
+    report = read_strict_json(tmp_path / "r.json")
+    assert sorted(report["corpus"]["metrics"]) == ["al", "ap", "cw", "dal", "end_offset", "start_offset"]
+    assert main([*argv, "--strict"]) == 2
+
+
+def test_cli_eval_writes_a_corpus_mean_in_the_unit_of_its_rows(tmp_path, capsys):
+    # the steps session scores nothing, so every atd value, and the mean, is in ms
+    empty = SessionTrace("empty", TEXT_TO_TEXT, STEPS, gen_wait_k(1, 2, 2).source, (), ())
+    traces = tmp_path / "traces.jsonl"
+    write_traces(traces, [empty, contrast_pair()[0]])
+    rows = eval_csv(capsys, str(traces))
+    assert [row["atd"] for row in rows] == ["", "5285.7", "5285.7"]
 
 
 SPEECH_TO_TEXT_RECORD = {

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from simulatency import (
     CA,
     NCA,
     SPEECH_TO_SPEECH,
+    SPEECH_TO_TEXT,
     ComputationSpan,
     SessionTrace,
     StepMetricInput,
@@ -22,6 +24,7 @@ from simulatency import (
     start_offset,
 )
 from simulatency import concat_sessions
+from simulatency.core import TokenSide
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -223,6 +226,20 @@ def test_nca_rebuild_rejects_non_ca_sessions():
     s = session([(0, 1000)], [(1200, 1800)], [1], timeline=NCA)
     with pytest.raises(TraceError, match="computation-aware"):
         build_nca_timeline(s)
+
+
+def test_nca_rebuild_checks_a_target_with_an_infinite_time_in_full():
+    # a finite last end bounds every time, so no duration is inf - inf; an
+    # infinite one sends the re-scheduled target through every check
+    source = TokenSide(("a",), (0.0,), (100.0,))
+    s = SessionTrace(
+        "x", SPEECH_TO_TEXT, CA, source, TokenSide(("b", "c"), (50.0, inf), (90.0, inf)), (1, 1), None, ()
+    )
+    with pytest.raises(TraceError) as err:
+        build_nca_timeline(s)
+    assert str(err.value) == "x: target token 2: time is NaN: start 140.0, end nan"
+    s = replace(s, target=TokenSide(("b", "c"), (50.0, 60.0), (90.0, inf)))
+    assert build_nca_timeline(s).target.end == (140.0, inf)
 
 
 def test_nca_output_never_overlaps():

@@ -5,7 +5,8 @@
 reference, the two ``nca`` contrast sessions and three ``ca`` sessions with
 spans.  Its reports pin what only a mixed corpus shows: the default columns
 chosen across steps and timed rows, full-precision and one-decimal cells in
-the same file, and corpus cells whose rows mix the two formats.  The
+the same file, and the corpus row: an empty cell, with a warning, for a
+column whose rows mix unit steps and ms, and a mean for the others.  The
 committed CSV, JSON and stderr files are the outputs of ``eval``,
 ``eval --timeline steps`` and ``eval --granularity char:2 --metrics
 al,al_ref,laal,atd,start_offset``; any change to them is a change in

@@ -356,3 +356,61 @@ def test_nca_output_follows_its_trigger_keeps_durations_and_is_serialized(sessio
         assert after.start >= prev_end
         assert after.end - after.start == before.end - before.start
         prev_end = after.end
+
+
+# ---------------------------------------------------------------------------
+# derived sessions
+# ---------------------------------------------------------------------------
+
+def chunk_session(source, target):
+    """A ca speech-to-speech session of (start, end) chunks; target chunk t
+    has read min(t, number of source chunks) of them."""
+    return SessionTrace(
+        "d",
+        SPEECH_TO_SPEECH,
+        CA,
+        tuple(TimedToken(None, start, end) for start, end in source),
+        tuple(TimedToken("y", start, end) for start, end in target),
+        tuple(min(t, len(source)) for t in range(1, len(target) + 1)),
+        spans=(),
+    )
+
+
+ALMOST = 1 + 1e-10  # a multiple of tau this much longer is outlasted by less than the tolerance
+
+
+@PROPERTY
+@given(any_sessions, any_taus)
+@example(  # chunks of exact multiples of tau, and of multiples outlasted by 1e-10 of them
+    chunk_session(
+        [(0.0, 900.0), (900.0, 900.0 + 300.0 * ALMOST), (1500.0, 1500.0 + 900.0 * ALMOST)],
+        [(1000.0, 1600.0), (1600.0, 1600.0 + 600.0 * ALMOST)],
+    ),
+    300.0,
+)
+@example(chunk_session([(0.0, 21.0), (21.0, 21.0 + 21.0 * ALMOST)], [(50.0, 71.0)]), 0.7)
+@example(  # 50,000 pieces a side, far below the times' resolution of 0.125 ms
+    chunk_session([(1e15, 1e15 + 0.5)], [(1e15 + 0.5, 1e15 + 1.0)]), 1e-5
+)
+@example(chunk_session([(-0.0, 300.0)], [(-0.0, 300.0)]), 300.0)  # unsplit, -0.0 stays
+@example(chunk_session([(0.0, 900.0)], []), 300.0)  # no target: nca refuses it
+@example(  # source chunks that overlap: refused, the pieces would leave order
+    chunk_session([(0.0, 700.0), (500.0, 750.0)], [(800.0, 900.0)]), 300.0
+)
+@example(  # target chunks that overlap: refused by input position, as above
+    chunk_session([(0.0, 1000.0)], [(0.0, 700.0), (500.0, 750.0)]), 300.0
+)
+def test_derived_sessions_pass_every_check_of_the_constructor(session, tau):
+    # subsegment_session and build_nca_timeline build their result from the
+    # input's checked columns without the constructor's checks; the full
+    # constructor takes each result as it is, field by field, reads included
+    cfg = SubSegmentConfig(tau=tau)
+    nca = outcome(build_nca_timeline, session)
+    derived = [outcome(subsegment_session, session, cfg), nca]
+    if isinstance(nca, SessionTrace):  # eval --timeline nca splits the re-scheduled session
+        derived.append(outcome(subsegment_session, nca, cfg))
+    for result in derived:
+        if isinstance(result, SessionTrace):
+            checked = replace(result)
+            assert checked == result
+            assert list(map(type, vars(checked).values())) == list(map(type, vars(result).values()))

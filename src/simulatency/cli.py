@@ -26,7 +26,6 @@ from .core import (
     CA,
     NCA,
     STEPS,
-    TEXT_TO_TEXT,
     TIMELINES,
     SessionTrace,
     SubSegmentConfig,
@@ -82,10 +81,7 @@ METRICS = {
     "dal": (lambda inp: differentiable_average_lagging(inp), None),
     "ap": (lambda inp: average_proportion(inp), None),
     "cw": (lambda inp: consecutive_wait(inp), None),
-    "atd": (
-        lambda inp: atd_steps(inp),
-        lambda s, cfg: atd_timed(s if s.modality == TEXT_TO_TEXT else subsegment_session(s, cfg)),
-    ),
+    "atd": (lambda inp: atd_steps(inp), lambda s, cfg: atd_timed(subsegment_session(s, cfg))),
     "start_offset": (None, lambda s, cfg: start_offset(s)),
     "end_offset": (None, lambda s, cfg: end_offset(s)),
 }
@@ -227,7 +223,7 @@ def _prepare_timed(session: SessionTrace, timeline: str | None) -> SessionTrace 
         return session
     if timeline == STEPS:
         return "timed metrics disabled by --timeline steps"
-    if timeline == NCA and session.timeline_kind == CA:
+    if timeline == NCA:  # so the session is ca; build_nca_timeline refuses any other
         try:
             return build_nca_timeline(session)
         except TraceError as exc:

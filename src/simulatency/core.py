@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, repeat
 from operator import add, attrgetter, le
 from typing import Iterable
 
@@ -50,7 +50,7 @@ def _number(value, what: str) -> None:
 
 
 def _check_times(start: float | None, end: float | None) -> None:
-    """A token's times are both set or both unset, and ``0 <= start <= end``."""
+    """A token's times are both set or both unset, and ``0 <= start <= end < inf``."""
     if (start is None) != (end is None):
         raise TraceError("start and end must be set together")
     if start is not None:
@@ -62,6 +62,8 @@ def _check_times(start: float | None, end: float | None) -> None:
             raise TraceError(f"end {end} precedes start {start}")
         if start != start or end != end:
             raise TraceError(f"time is NaN: start {start}, end {end}")
+        if end == math.inf:  # the start is no later
+            raise TraceError(f"time is infinite: start {start}, end {end}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ class ComputationSpan:
     def __post_init__(self) -> None:
         _number(self.start, "span start")
         _number(self.end, "span end")
-        if not 0 <= self.start <= self.end:  # also refuses NaN
+        if not 0 <= self.start <= self.end < math.inf:  # also refuses NaN
             raise TraceError(f"invalid computation span [{self.start}, {self.end})")
 
 
@@ -266,9 +268,9 @@ class SessionTrace:
         side._check_lengths(side_name)
         starts, ends = side.start, side.end
         if self.timeline_kind != STEPS:
-            try:  # a fully timed side in order passes in one pass and a sort per column; None raises
+            try:  # a fully timed, finite side in order passes in one pass and a sort per column; None raises
                 if not starts or (
-                    starts[0] >= 0 and all(map(le, starts, ends))
+                    starts[0] >= 0 and all(map(le, starts, ends)) and ends[-1] < math.inf
                     and sorted(starts) == list(starts) and sorted(ends) == list(ends)
                 ):
                     return
@@ -376,25 +378,17 @@ def chunk_ends_from_reads(reads: tuple[int, ...] | list[int]) -> tuple[int, ...]
     chunks are the maximal runs of equal g.  Returns cumulative 1-based end
     indices partitioning the target list.
     """
-    ends: list[int] = []
-    for t in range(1, len(reads) + 1):
-        if t == len(reads) or reads[t] != reads[t - 1]:
-            ends.append(t)
-    return tuple(ends)
+    return tuple(accumulate(len(list(run)) for _, run in groupby(reads)))
 
 
 def regroup_tokens(reads: tuple[int, ...] | list[int], gran: TokenGranularity) -> tuple[int, ...]:
     """``reads`` counted in ``gran`` units: under ``char:N`` each output chunk, a
     run of L equal g, becomes ceil(L/N) tokens that carry that g; words stay."""
-    reads = tuple(reads)
     if gran.unit == WORD:
-        return reads
-    grouped: list[int] = []
-    first = 0
-    for end in chunk_ends_from_reads(reads):
-        grouped += repeat(reads[first], -(-(end - first) // gran.group_size))
-        first = end
-    return tuple(grouped)
+        return tuple(reads)
+    size = gran.group_size
+    runs = ((g, len(list(run))) for g, run in groupby(reads))
+    return tuple(chain.from_iterable(repeat(g, -(-n // size)) for g, n in runs))
 
 
 def _reference_length(reference: str | None, gran: TokenGranularity) -> int | None:
@@ -470,7 +464,8 @@ def concat_sessions(
 
 
 def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
-    """Re-express a timed speech session in sub-segment tokens.
+    """Re-express a timed speech session in sub-segment tokens; a text-to-text
+    session, which has no speech to split, comes back as it is.
 
     Source chunks are split into tau-sized tokens and the read schedule is
     re-stated in sub-token units (the g of a target token becomes the total
@@ -481,6 +476,8 @@ def subsegment_session(s: SessionTrace, cfg: SubSegmentConfig) -> SessionTrace:
     """
     if not s.is_timed:
         raise TraceError("unit-step session has no speech timeline")
+    if s.modality == TEXT_TO_TEXT:
+        return s
     if not s.source:
         raise TraceError("no input")
 

@@ -9,7 +9,6 @@ negative (a system can finish speaking before the input ends).
 from __future__ import annotations
 
 import logging
-import math
 
 from .core import CA, NCA, SessionTrace, TokenSide, TraceError
 from .metrics_step import _serialized_starts, _token_delay
@@ -73,8 +72,5 @@ def build_nca_timeline(s: SessionTrace) -> SessionTrace:
     durations = [end - start for start, end in zip(s.target.start, s.target.end)]
     starts = tuple(_serialized_starts([s.source.end[g - 1] for g in s.reads], durations))
     ends = tuple(start + duration for start, duration in zip(starts, durations))
-    target = TokenSide(s.target.text, starts, ends)
-    if s.target.end[-1] < math.inf:  # starts stay >= 0, in order, each <= its end
-        return s._derived(timeline_kind=NCA, target=target, spans=None)
-    # an infinite time may give a duration of inf - inf, a NaN that the checks refuse
-    return SessionTrace(s.id, s.modality, NCA, s.source, target, s.reads, s.reference, None)
+    # starts stay >= 0, in order, each <= its end; an end past the float range is inf
+    return s._derived(timeline_kind=NCA, target=TokenSide(s.target.text, starts, ends), spans=None)

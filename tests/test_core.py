@@ -80,6 +80,21 @@ def test_span_refuses_nan_times(start, end):
     assert str(info.value) == f"invalid computation span [{start}, {end})"
 
 
+@pytest.mark.parametrize("start, end", [(0.0, math.inf), (math.inf, math.inf), (5, math.inf)])
+def test_token_refuses_infinite_times(start, end):
+    # the reader refuses them too, as Infinity or a time past the float range
+    with pytest.raises(TraceError) as info:
+        TimedToken("x", start, end)
+    assert str(info.value) == f"time is infinite: start {start}, end {end}"
+
+
+@pytest.mark.parametrize("start, end", [(0.0, math.inf), (math.inf, math.inf)])
+def test_span_refuses_infinite_times(start, end):
+    with pytest.raises(TraceError) as info:
+        ComputationSpan("decode", start, end)
+    assert str(info.value) == f"invalid computation span [{start}, {end})"
+
+
 def test_session_rejects_non_monotone_reads():
     with pytest.raises(TraceError, match="monotone"):
         step_session("bad", [2, 1], 3)
@@ -189,6 +204,11 @@ def full_session(**fields):
          "s: target columns differ in length: text 1, start 2, end 2"),
         ({"source": TokenSide(("a", "b", "c"), (0.0, math.nan, 200.0), (100.0, math.nan, 300.0))},
          "s: source token 2: time is NaN: start nan, end nan"),
+        # a side in order passes by columns, where its last end bounds every time
+        ({"source": TokenSide(("a", "b", "c"), (0.0, 100.0, 200.0), (100.0, 200.0, math.inf))},
+         "s: source token 3: time is infinite: start 200.0, end inf"),
+        ({"timeline_kind": STEPS, "target": TokenSide(("x", "y"), (300.0, math.inf), (400.0, math.inf))},
+         "s: target token 2: time is infinite: start inf, end inf"),
     ],
 )
 def test_session_errors_name_the_session_once(fields, message):
@@ -300,6 +320,8 @@ def per_token_fault(side_name, side, timed):
             return f"{side_name} token {pos}: end {end} precedes start {start}"
         if start is not None and (math.isnan(start) or math.isnan(end)):
             return f"{side_name} token {pos}: time is NaN: start {start}, end {end}"
+        if start is not None and end == math.inf:
+            return f"{side_name} token {pos}: time is infinite: start {start}, end {end}"
     timed_tokens = [(pos, s, e) for pos, (s, e) in enumerate(zip(starts, ends), 1) if s is not None]
     for (last, prev_start, prev_end), (pos, start, end) in zip(timed_tokens, timed_tokens[1:]):
         if start < prev_start or end < prev_end:
@@ -649,6 +671,18 @@ def test_subsegment_session_speech_to_text_keeps_target():
     assert fine.reads == (2, 5)
     assert [t.text for t in fine.target] == ["a", "b"]
     assert [(t.start, t.end) for t in fine.target] == [(700, 700), (1600, 1600)]
+
+
+@pytest.mark.parametrize("timeline", ["ca", "nca"])
+def test_subsegment_session_gives_a_text_to_text_session_back(timeline):
+    # text has no speech to split: its tokens are scored as they are, even
+    # a target token that lasts longer than tau
+    s = SessionTrace(
+        "t2t", TEXT_TO_TEXT, timeline,
+        (TimedToken("a", 0, 900), TimedToken("b", 900, 1000)),
+        (TimedToken("c", 950, 2000),), (2,), spans=(),
+    )
+    assert subsegment_session(s, SubSegmentConfig(tau=300)) is s
 
 
 def test_subsegment_session_rejects_unit_step():

@@ -33,6 +33,7 @@ from simulatency import (
 )
 from simulatency import cli
 from simulatency.cli import main
+from simulatency.core import TokenSide
 from simulatency.trace_io import _side_columns
 
 from test_metrics_time import contrast_links, contrast_pair
@@ -169,9 +170,11 @@ def test_meta_field_is_tolerated():
     "start, end", [(0.0, 1.5), (0.5, 2.0), (0.0, math.inf)]
 )
 def test_session_to_record_refuses_times_it_would_truncate(start, end):
+    # the source is set past the constructor, which refuses an infinite time;
+    # a re-schedule onto nca whose times overflow leaves one in its target
     session = SessionTrace(
-        "frac", SPEECH_TO_TEXT, NCA, (TimedToken("x", start, end),), (TimedToken("y", 3, 4),), (1,)
-    )
+        "frac", SPEECH_TO_TEXT, NCA, (TimedToken("x", 0, 1),), (TimedToken("y", 3, 4),), (1,)
+    )._derived(source=TokenSide(("x",), (start,), (end,)))
     with pytest.raises(TraceError, match=r"^frac: token time .+ is not integer milliseconds$"):
         session_to_record(session)
 
@@ -1151,7 +1154,7 @@ EXIT_CODES = [
     ("concat of a ca and an nca session",
      ["concat", "{mixed_timeline}"], 2, "simulatency: error: timeline mismatch: ca vs nca"),
     ("time beyond float range after concat",
-     ["concat", "{huge_pair}"], 2, "a+b: token time inf is not integer milliseconds"),
+     ["concat", "{huge_pair}"], 2, "a+b: source token 2: time is infinite: start 1e+308, end inf"),
     ("repeated session id", ["eval", "{repeated_id}"], 2, "line 2: duplicate id 'wait2-4x4'"),
     ("repeated session id, concat", ["concat", "{repeated_id}"], 2, "line 2: duplicate id"),
     ("repeated sentence id", ["evs", "{repeated_sentence}"], 2, "line 2: duplicate id 'a1'"),

@@ -11,10 +11,16 @@ constructors ``contrast_balanced``, ``contrast_frontloaded`` and
 ``fixtures/contrast_alignments.jsonl`` are the one copy of that pair), and
 ``AlignmentLinks.select`` and ``AlignedPair.span`` (``evs._tally`` is the one
 rule that picks a sentence's links by mode and spans a link).
+
+The README's library section lists each ``__all__`` name once, and names
+no other public name of the package without its module.
 """
 
 import importlib
 import inspect
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +37,9 @@ REMOVED_FUNCTIONS = (
     "write_sessions",
 )
 MODULES = ("simulatency", "simulatency.core", "simulatency.sim", "simulatency.trace_io")
+# public names that the README marks for removal
+SLATED = {"chunk_ends_from_reads", "dedupe_pairs", "regroup_tokens"}
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_lists_every_public_name_the_package_binds():
@@ -65,3 +74,39 @@ def test_removed_token_helpers_are_gone():
 def test_removed_link_helpers_are_gone():
     assert not hasattr(AlignmentLinks(), "select")
     assert not hasattr(AlignedPair(1, 1, 0.0, 0.0), "span")
+
+
+def library_section():
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
+def package_names():
+    """The public names that the modules of the package define or bind from
+    one another, constants included: no module and nothing from elsewhere."""
+    names = set()
+    for info in pkgutil.iter_modules(simulatency.__path__):
+        for name, value in vars(importlib.import_module(f"simulatency.{info.name}")).items():
+            if not name.startswith("_") and not inspect.ismodule(value):
+                if getattr(value, "__module__", "simulatency").startswith("simulatency"):
+                    names.add(name)
+    return names
+
+
+def test_the_readme_lists_each_name_of_all_once():
+    listed = library_section().split("\n### Public names\n", 1)[1].split("\n### ", 1)[0]
+    entries = {}  # each item's names, before its first colon, and its text
+    for item in re.split(r"\n- ", listed.split("\n- ", 1)[1]):
+        head, text = item.split(":", 1)
+        entries[tuple(re.findall(r"`(\w+)`", head))] = text
+    names = [name for entry in entries for name in entry]
+    assert len(names) == len(set(names))
+    assert set(names) == set(simulatency.__all__)
+    assert all(len(entry) == 1 or all(map(str.isupper, entry)) for entry in entries)
+    slated = {name for entry, text in entries.items() if "Slated for removal" in text for name in entry}
+    assert slated == SLATED
+
+
+def test_the_readme_names_no_public_name_that_all_lacks():
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", library_section()))
+    assert named & package_names() <= set(simulatency.__all__)

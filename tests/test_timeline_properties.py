@@ -48,7 +48,7 @@ def oracle_split_chunks(segments, cfg):
         prev_end = seg_end
         count = max(1, math.ceil((seg_end - seg_start) / cfg.tau - 1e-9))
         for i in range(count):
-            start = seg_start + i * cfg.tau
+            start = seg_start if count == 1 else seg_start + i * cfg.tau  # unsplit: as given
             end = seg_end if i == count - 1 else seg_start + (i + 1) * cfg.tau
             tokens.append(TimedToken(start=start, end=end))
     return tuple(tokens)
@@ -121,6 +121,21 @@ def outcome(fn, *args):
         return f"TraceError: {exc}"
 
 
+def exact(result):
+    """A session compared bit for bit: each time as its type and ``float.hex``,
+    so that 300 differs from 300.0 and -0.0 from 0.0; anything else as it is."""
+    if not isinstance(result, SessionTrace):
+        return result
+
+    def time(t):
+        return t if t is None else (type(t), float(t).hex())
+
+    def side(tokens):
+        return [(token.text, time(token.start), time(token.end)) for token in tokens]
+
+    return {**vars(result), "source": side(result.source), "target": side(result.target)}
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -185,6 +200,13 @@ def speech_sessions(draw, valid=True):
     )
 
 
+# times as a record or a library call may give them: an int, and -0.0
+GIVEN = SessionTrace(
+    "given", SPEECH_TO_SPEECH, CA, (TimedToken("x", -0.0, 300.0), TimedToken("y", 300, 600)),
+    (TimedToken("z", 600, 900), TimedToken(None, 900, 1000)), (1, 2), spans=(),
+)
+
+
 # Half-millisecond tau values keep every bound exact in binary floating point,
 # so that coverage and idempotence can be asserted with ==.
 exact_taus = st.integers(min_value=2, max_value=2000).map(lambda n: n / 2)
@@ -206,10 +228,11 @@ any_sessions = st.one_of(speech_sessions(), speech_sessions(valid=False))
     ),
     1.0,
 )
+@example(GIVEN, 300.0)
 def test_subsegment_session_equals_oracle(session, tau):
     cfg = SubSegmentConfig(tau=tau)
-    assert outcome(subsegment_session, session, cfg) == outcome(
-        oracle_subsegment_session, session, cfg
+    assert exact(outcome(subsegment_session, session, cfg)) == exact(
+        outcome(oracle_subsegment_session, session, cfg)
     )
 
 
@@ -232,16 +255,19 @@ def test_subsegment_speech_equals_oracle(segments, tau):
     # times compare by their exact binary values, not by ==
     cfg = SubSegmentConfig(tau=tau)
 
+    def times(column):
+        return [(type(t), float(t).hex()) for t in column]
+
     def split(segments, cfg, target):
         starts, ends, counts = _split_chunks(
             [s for s, _ in segments], [e for _, e in segments], cfg.tau, target=target
         )
-        return [float(s).hex() for s in starts], [float(e).hex() for e in ends], counts
+        return times(starts), times(ends), counts
 
     def oracle(segments, cfg, target):
         pieces = (oracle_split_target if target else oracle_split_chunks)(segments, cfg)
         counts = [len(oracle_split_chunks([segment], cfg)) for segment in segments]
-        return [float(p.start).hex() for p in pieces], [float(p.end).hex() for p in pieces], counts
+        return times(p.start for p in pieces), times(p.end for p in pieces), counts
 
     for target in (False, True):
         assert outcome(split, segments, cfg, target) == outcome(oracle, segments, cfg, target)
@@ -339,8 +365,9 @@ def test_reads_are_remapped_to_cumulative_subtoken_counts(session, tau):
 
 @PROPERTY
 @given(any_sessions.filter(lambda s: s.target))
+@example(GIVEN)
 def test_build_nca_timeline_equals_oracle(session):
-    assert build_nca_timeline(session) == oracle_build_nca_timeline(session)
+    assert exact(build_nca_timeline(session)) == exact(oracle_build_nca_timeline(session))
 
 
 @PROPERTY

@@ -141,14 +141,14 @@ NUMBERS = {
 
 
 @st.composite
-def sessions(draw, timeline=None, number=None):
+def sessions(draw, timeline=None, number=None, infinite=True):
     timeline = timeline or draw(st.sampled_from(TIMELINES))
     number = number or NUMBERS[draw(st.sampled_from(["float", "float", *NUMBERS]))]
     n_src = draw(st.integers(0, 6))
     n_tgt = draw(st.integers(0, 6)) if n_src else 0
     target = draw(sides(n_tgt, timeline, number))
-    if n_tgt and timeline != STEPS and draw(st.integers(0, 3)) == 0:  # an infinite last end
-        target = TokenSide(target.text, target.start, target.end[:-1] + (math.inf,))
+    # an infinite last end, one time in four
+    infinite = infinite and n_tgt and timeline != STEPS and draw(st.integers(0, 3)) == 0
     span_list = None
     if draw(st.booleans()):
         span_list = [
@@ -157,7 +157,7 @@ def sessions(draw, timeline=None, number=None):
                 st.lists(st.tuples(words, st.integers(0, 10**6), st.integers(0, 500)), max_size=3)
             )
         ]
-    return SessionTrace(
+    session = SessionTrace(
         id=draw(st.text("xyz", min_size=1, max_size=4)),
         modality=draw(st.sampled_from(MODALITIES)),
         timeline_kind=timeline,
@@ -167,6 +167,9 @@ def sessions(draw, timeline=None, number=None):
         reference=draw(st.none() | words),
         spans=span_list,
     )
+    if infinite:  # past the constructor, which refuses it, as a re-schedule that overflows leaves it
+        with_times(session, "target", end=target.end[:-1] + (math.inf,))
+    return session
 
 
 @DIFF
@@ -233,8 +236,9 @@ def test_the_first_bad_time_is_named_token_by_token(side_name, starts, ends, nam
 def test_concat_matches_the_element_by_element_join(data, mode):
     timeline = data.draw(st.sampled_from(TIMELINES))
     number = NUMBERS[data.draw(st.sampled_from(["int", "float"]))]
-    a = data.draw(sessions(timeline, number))
-    b = data.draw(sessions(timeline, number))
+    # the constructor refuses an infinite time, so a join is given none
+    a = data.draw(sessions(timeline, number, infinite=False))
+    b = data.draw(sessions(timeline, number, infinite=False))
     b = SessionTrace(b.id, a.modality, *[getattr(b, f) for f in (
         "timeline_kind", "source", "target", "reads", "reference", "spans")])
     expected = outcome(oracle_concat, a, b, mode)
